@@ -43,6 +43,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzHistogramInvariant -fuzztime=30s ./internal/eh/
 	$(GO) test -fuzz=FuzzSketchGuarantee -fuzztime=30s ./internal/fd/
 	$(GO) test -fuzz=FuzzSkewBufferOrdering -fuzztime=30s ./internal/stream/
+	$(GO) test -fuzz=FuzzEigSym -fuzztime=30s ./mat/
 
 # Short fuzz sessions over the binary v2 wire decoder: arbitrary bytes
 # must never panic, never loop, and only ever fail with a frame-local

@@ -193,8 +193,18 @@ func TestHandleConnAcksSequencedFrames(t *testing.T) {
 			t.Fatalf("ack %d carries seq %d", i, a.Seq)
 		}
 	}
+	waitAckedMsgs(coord, 3)
 	if cm := coord.Metrics(); cm.AckedMsgs != 3 {
 		t.Fatalf("AckedMsgs = %d, want 3", cm.AckedMsgs)
+	}
+}
+
+// waitAckedMsgs waits, at most five seconds, for the coordinator's
+// AckedMsgs to reach want. The coordinator counts an ack only after its
+// write returns, so a site can read the ack before it is counted.
+func waitAckedMsgs(coord *Coordinator, want int64) {
+	for deadline := time.Now().Add(5 * time.Second); coord.Metrics().AckedMsgs < want && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -260,6 +260,7 @@ func TestHandleConnV2AcksSequencedFrames(t *testing.T) {
 			t.Fatalf("ack %d = %+v", i, a)
 		}
 	}
+	waitAckedMsgs(coord, 3)
 	if cm := coord.Metrics(); cm.AckedMsgs != 3 {
 		t.Fatalf("AckedMsgs = %d, want 3", cm.AckedMsgs)
 	}

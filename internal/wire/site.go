@@ -304,6 +304,14 @@ type DA1Site struct {
 	pv    []float64
 	now   int64
 	tr    *trace.Tracer
+	// mv is the Ĉ·x scratch of the trigger operator applyOp; diff holds
+	// C − Ĉ during a report; ws is the site's decomposition and
+	// power-iteration workspace. All persist so a report allocates only
+	// the frames it ships.
+	mv      []float64
+	applyOp func(x, y []float64)
+	diff    *mat.Dense
+	ws      *mat.Workspace
 }
 
 // NewDA1Site returns a site pushing to out.
@@ -311,13 +319,26 @@ func NewDA1Site(cfg SiteConfig, out Sender) (*DA1Site, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &DA1Site{
+	s := &DA1Site{
 		cfg:  cfg,
 		out:  out,
 		hist: meh.New(cfg.W, cfg.D, cfg.Eps/2),
 		chat: mat.NewDense(cfg.D, cfg.D),
 		pv:   make([]float64, cfg.D),
-	}, nil
+		mv:   make([]float64, cfg.D),
+		diff: mat.NewDense(cfg.D, cfg.D),
+		ws:   mat.NewWorkspace(),
+	}
+	// y = (C − Ĉ)x, reading s.hist at call time so a restored histogram
+	// is picked up.
+	s.applyOp = func(x, y []float64) {
+		s.hist.ApplyGram(x, y)
+		mat.MulVecInto(s.mv, s.chat, x)
+		for i := range y {
+			y[i] -= s.mv[i]
+		}
+	}
+	return s, nil
 }
 
 // SetTracer installs a causal tracer (see DA2Site.SetTracer). Install
@@ -363,7 +384,9 @@ func (s *DA1Site) maybeReport() error {
 	fhat := s.lastF
 	if fhat <= 0 {
 		if mat.FrobSq(s.chat) > 0 {
-			return s.sendDiff(mat.Scale(-1, s.chat), 0)
+			s.diff.CopyFrom(s.chat)
+			mat.ScaleInPlace(s.diff, -1)
+			return s.sendDiff(s.diff, 0)
 		}
 		s.churn = 0
 		return nil
@@ -372,23 +395,17 @@ func (s *DA1Site) maybeReport() error {
 		return nil
 	}
 	s.churn = 0
-	norm := mat.OpSymNormWarm(s.cfg.D, s.pv, 8, func(x, y []float64) {
-		s.hist.ApplyGram(x, y)
-		cx := mat.MulVec(s.chat, x)
-		for i := range y {
-			y[i] -= cx[i]
-		}
-	})
+	norm := mat.OpSymNormWarmWS(s.cfg.D, s.pv, 8, s.applyOp, s.ws)
 	if norm <= s.cfg.Eps*fhat {
 		return nil
 	}
-	diff := s.hist.Gram()
-	mat.SubInPlace(diff, s.chat)
-	return s.sendDiff(diff, s.cfg.Eps*fhat)
+	s.hist.GramInto(s.diff)
+	mat.SubInPlace(s.diff, s.chat)
+	return s.sendDiff(s.diff, s.cfg.Eps*fhat)
 }
 
 func (s *DA1Site) sendDiff(diff *mat.Dense, cutoff float64) error {
-	eig := mat.EigSym(diff)
+	eig := mat.EigSymInto(diff, s.ws)
 	sent := 0
 	send := func(i int) error {
 		lam := eig.Values[i]

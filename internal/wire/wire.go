@@ -124,7 +124,7 @@ type Coordinator struct {
 
 	wg     sync.WaitGroup
 	lnMu   sync.Mutex
-	ln     net.Listener
+	lns    []net.Listener // every listener Serve runs on, closed by Close
 	closed bool
 }
 
@@ -677,21 +677,34 @@ func (c *Coordinator) horizonOf(key siteKey) uint64 {
 
 // Serve accepts site connections on l until Close. Each connection is
 // handled on its own goroutine; decoding errors end only that connection.
+//
+// Serve and every connection it accepts are registered in c.wg under
+// lnMu, and only while the coordinator is open, so Close's Wait never
+// races an Add: a connection accepted after Close is closed at once.
 func (c *Coordinator) Serve(l net.Listener) {
 	c.lnMu.Lock()
-	c.ln = l
-	closed := c.closed
-	c.lnMu.Unlock()
-	if closed {
+	if c.closed {
+		c.lnMu.Unlock()
 		l.Close()
 		return
 	}
+	c.lns = append(c.lns, l)
+	c.wg.Add(1)
+	c.lnMu.Unlock()
+	defer c.wg.Done()
 	for {
 		conn, err := l.Accept()
 		if err != nil {
 			return
 		}
+		c.lnMu.Lock()
+		if c.closed {
+			c.lnMu.Unlock()
+			conn.Close()
+			continue
+		}
 		c.wg.Add(1)
+		c.lnMu.Unlock()
 		c.conns.Add(1)
 		go func() {
 			defer c.wg.Done()
@@ -702,12 +715,13 @@ func (c *Coordinator) Serve(l net.Listener) {
 	}
 }
 
-// Close stops accepting and waits for in-flight connections to finish.
+// Close stops accepting and waits for Serve and every in-flight
+// connection to finish.
 func (c *Coordinator) Close() {
 	c.lnMu.Lock()
 	c.closed = true
-	if c.ln != nil {
-		c.ln.Close()
+	for _, l := range c.lns {
+		l.Close()
 	}
 	c.lnMu.Unlock()
 	c.wg.Wait()

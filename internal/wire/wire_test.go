@@ -119,6 +119,68 @@ func TestDA1SiteLoopbackTracksWindow(t *testing.T) {
 	}
 }
 
+// TestDA1SiteReuseFramesBitIdentical checks that the DA1 site's
+// persistent report buffers (workspace, C − Ĉ scratch, trigger-operator
+// scratch) leave no trace in its frames: a twin site handed fresh
+// buffers, poisoned with NaN, before every step must ship bit-identical
+// frames — through triggered reports and the cutoff-0 flush that follows
+// the window draining.
+func TestDA1SiteReuseFramesBitIdentical(t *testing.T) {
+	const (
+		d = 6
+		w = int64(400)
+	)
+	cfg := SiteConfig{ID: 0, D: d, W: w, Eps: 0.15}
+	var reused, fresh recordSender
+	a, err := NewDA1Site(cfg, &reused)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewDA1Site(cfg, &fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	renew := func() {
+		b.ws = mat.NewWorkspace()
+		b.diff = mat.NewDense(d, d)
+		for i := 0; i < d; i++ {
+			b.diff.Row(i)[0] = math.NaN()
+			b.mv[i] = math.NaN()
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := int64(1); i <= 2000; i++ {
+		v := randRow(d, rng)
+		renew()
+		if err := a.Observe(i, v); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Observe(i, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Drain the window in steps so the site reports the shrinking mass,
+	// then flushes Ĉ⁽ʲ⁾ once the window is empty.
+	for now := int64(2000 + w/8); now <= 2000+2*w; now += w / 8 {
+		renew()
+		if err := a.Advance(now); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Advance(now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(reused.msgs) < 20 {
+		t.Fatalf("only %d frames shipped; the test needs reports to compare", len(reused.msgs))
+	}
+	if last := reused.msgs[len(reused.msgs)-1]; a.lastF != 0 || last.T <= 2000+w {
+		t.Fatal("the window did not drain to the cutoff-0 flush")
+	}
+	if !sameMsgs(reused.msgs, fresh.msgs) {
+		t.Fatalf("frames differ: %d with reused buffers, %d with fresh ones", len(reused.msgs), len(fresh.msgs))
+	}
+}
+
 func TestSumSiteLoopback(t *testing.T) {
 	c := NewCoordinator(1)
 	s, err := NewSumSite(SiteConfig{ID: 0, W: 200, Eps: 0.1}, Loopback{c})
@@ -272,5 +334,47 @@ func TestSiteConfigValidation(t *testing.T) {
 	}
 	if _, err := NewSumSite(SiteConfig{W: 10, Eps: 2}, Loopback{c}); err == nil {
 		t.Fatal("want error for eps out of range")
+	}
+}
+
+// TestCoordinatorCloseRacesAccept closes a coordinator while sites are
+// dialing it, 500 times over. A connection accepted as Close begins must
+// not register with the coordinator's WaitGroup after Close has started
+// waiting on it: under -race that is a reported race, and without it an
+// intermittent "WaitGroup is reused before previous Wait has returned"
+// panic.
+func TestCoordinatorCloseRacesAccept(t *testing.T) {
+	for i := 0; i < 500; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		coord := NewCoordinator(2)
+		served := make(chan struct{})
+		go func() {
+			coord.Serve(ln)
+			close(served)
+		}()
+		var dials sync.WaitGroup
+		for k := 0; k < 4; k++ {
+			dials.Add(1)
+			go func() {
+				defer dials.Done()
+				if conn, err := net.Dial("tcp", ln.Addr().String()); err == nil {
+					conn.Close()
+				}
+			}()
+		}
+		if i%2 == 1 {
+			// Let some dials land before Close on every other round.
+			time.Sleep(50 * time.Microsecond)
+		}
+		coord.Close()
+		dials.Wait()
+		select {
+		case <-served:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: Serve did not return after Close", i)
+		}
 	}
 }

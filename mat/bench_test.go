@@ -78,3 +78,25 @@ func BenchmarkPSDSqrt64(b *testing.B) {
 		PSDSqrt(c)
 	}
 }
+
+// BenchmarkEigSym32 decomposes a 32×32 Gram on a reused workspace: the
+// per-report and per-shrink size of the protocols' default sketches.
+func BenchmarkEigSym32(b *testing.B) {
+	s := Gram(benchMat(64, 32, 10))
+	ws := NewWorkspace()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		EigSymInto(s, ws)
+	}
+}
+
+// BenchmarkThinSVDNoU40x32 is one Frequent Directions shrink of a 40×32
+// buffer through the d×d Gram route.
+func BenchmarkThinSVDNoU40x32(b *testing.B) {
+	a := benchMat(40, 32, 11)
+	ws := NewWorkspace()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ThinSVDNoU(a, ws)
+	}
+}

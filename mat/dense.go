@@ -1,7 +1,8 @@
 // Package mat implements the dense linear algebra needed by the
 // distributed sliding-window matrix-tracking protocols: a row-major dense
-// matrix type, BLAS-like operations, Householder QR, a cyclic Jacobi
-// symmetric eigendecomposition, thin SVD, spectral norms via power
+// matrix type, BLAS-like operations, Householder QR, a symmetric
+// eigendecomposition (Householder tridiagonalization + implicit-shift QL,
+// absolute accuracy about u·‖S‖), thin SVD, spectral norms via power
 // iteration, and PSD matrix square roots.
 //
 // The package is self-contained (standard library only) and deterministic:

@@ -40,6 +40,10 @@ func svdCutoff(s []float64) float64 {
 	return max * 1e-12
 }
 
+// jacobiSweepsMax bounds JacobiSVD's one-sided sweeps; convergence is
+// quadratic, so well under this for any practical dimension.
+const jacobiSweepsMax = 60
+
 // JacobiSVD computes a thin SVD of a using one-sided Jacobi rotations on
 // the rows of a, which orthogonalizes all row pairs. It delivers high
 // relative accuracy for small singular values at higher cost than ThinSVD.

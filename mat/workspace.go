@@ -20,10 +20,13 @@ import "math"
 //     serialized on one lane) its own Workspace.
 //   - The zero value is ready to use; NewWorkspace exists for symmetry.
 type Workspace struct {
-	// Jacobi eigendecomposition scratch (EigSymInto).
-	eigA Dense // symmetrized working copy, rotated in place
-	eigV Dense // rotation accumulator
-	idx  []int // eigenvalue sort permutation
+	// Tridiagonal-QL eigendecomposition scratch (EigSymInto): the
+	// symmetrized working copy, reduced and rotated in place into Vᵀ (the
+	// only n×n scratch), the off-diagonal of the tridiagonal form, and the
+	// eigenvalue sort permutation.
+	eigA Dense
+	eigE []float64
+	idx  []int
 
 	// Eigendecomposition outputs, aliased by the returned Eigen.
 	vals []float64
@@ -75,6 +78,12 @@ func EigSymInto(s *Dense, ws *Workspace) Eigen {
 	}
 	n := s.rows
 	ws.eigA.reshape(n, n)
+	ws.vals = growFloats(ws.vals, n)
+	ws.vecs.reshape(n, n)
+	eig := Eigen{Values: ws.vals, Vectors: &ws.vecs}
+	if n == 0 {
+		return eig
+	}
 	a := &ws.eigA
 	a.CopyFrom(s)
 	// Symmetrize to guard against drift in accumulated covariance updates.
@@ -85,43 +94,35 @@ func EigSymInto(s *Dense, ws *Workspace) Eigen {
 			a.data[j*n+i] = v
 		}
 	}
-	ws.eigV.reshape(n, n)
-	v := &ws.eigV
-	v.Zero()
-	for i := 0; i < n; i++ {
-		v.data[i*n+i] = 1
-	}
+	// a becomes Vᵀ in place; the eigenvalues land unsorted in vals.
+	ws.eigE = growFloats(ws.eigE, n)
+	d, e := ws.vals, ws.eigE
+	tred2(a.data, d, e, n)
+	tql2(a.data, d, e, n)
 
-	jacobiEig(a, v)
-
-	ws.vals = growFloats(ws.vals, n)
-	ws.vecs.reshape(n, n)
-	eig := Eigen{Values: ws.vals, Vectors: &ws.vecs}
+	// Sort through a permutation keyed on a copy of the eigenvalues (e is
+	// free once tql2 returns), then gather values and rows in order.
+	copy(e, d)
 	ws.idx = growInts(ws.idx, n)
 	idx := ws.idx
 	for i := range idx {
 		idx[i] = i
 	}
-	// Insertion sort by decreasing diagonal value: n is small (sketch and
-	// covariance dimensions), the permutation is nearly sorted after
-	// Jacobi, and unlike sort.Slice this allocates nothing.
+	// Insertion sort by decreasing value: n is small (sketch and
+	// covariance dimensions), and unlike sort.Slice this allocates nothing.
 	for i := 1; i < n; i++ {
 		k := idx[i]
-		key := a.data[k*n+k]
+		key := e[k]
 		j := i - 1
-		for j >= 0 && a.data[idx[j]*n+idx[j]] < key {
+		for j >= 0 && e[idx[j]] < key {
 			idx[j+1] = idx[j]
 			j--
 		}
 		idx[j+1] = k
 	}
 	for r, i := range idx {
-		eig.Values[r] = a.data[i*n+i]
-		// Eigenvectors are the columns of the accumulated rotation matrix;
-		// store them as rows of the output.
-		for j := 0; j < n; j++ {
-			eig.Vectors.data[r*n+j] = v.data[j*n+i]
-		}
+		eig.Values[r] = e[i]
+		copy(eig.Vectors.Row(r), a.Row(i))
 	}
 	return eig
 }
