@@ -32,7 +32,8 @@ bench:
 # benchgate efficiency gate, the multi-stream registry streams × workers
 # throughput grid with its falloff gate, the published-snapshot query
 # path under concurrent queriers with its publish-overhead and
-# interference gates, and the gob-vs-binary-v2 wire codec comparison) on
+# interference gates, and the binary v2 wire codec's bytes per frame and
+# encode/decode cost) on
 # a fixed reference workload, written as BENCH_PR10.json for machine
 # comparison across changes.
 bench-json:
@@ -45,13 +46,15 @@ fuzz:
 	$(GO) test -fuzz=FuzzSkewBufferOrdering -fuzztime=30s ./internal/stream/
 	$(GO) test -fuzz=FuzzEigSym -fuzztime=30s ./mat/
 
-# Short fuzz sessions over the binary v2 wire decoder: arbitrary bytes
-# must never panic, never loop, and only ever fail with a frame-local
-# CorruptFrameError or an EOF-shaped transport error. The CI fuzz job
-# runs exactly this target.
+# Short fuzz sessions over the decoders of untrusted wire bytes: the
+# binary v2 frame decoder must never panic, never loop, and only ever
+# fail with a frame-local CorruptFrameError or an EOF-shaped transport
+# error; a coordinator's HandleConn must return without panicking and
+# keep every estimate finite. The CI fuzz job runs exactly these targets.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeMsg -fuzztime=30s ./internal/wire/codec/
 	$(GO) test -fuzz=FuzzDecodeAck -fuzztime=30s ./internal/wire/codec/
+	$(GO) test -run=^$$ -fuzz=FuzzHandleConn -fuzztime=30s ./internal/wire/
 
 # Seeded chaos soak under the race detector: replays the same workload
 # fault-free and under injected transport faults plus a site crash, and

@@ -238,7 +238,7 @@ type Tracker struct {
 	sink    obs.Sink
 
 	// tracer/traceRing hold the causal-tracing state installed by
-	// EnableTracing; aud is the live ε-error auditor from EnableAudit.
+	// WithTracing; aud is the live ε-error auditor from WithAudit.
 	// All three are nil by default and cost one nil-check when off.
 	tracer    *trace.Tracer
 	traceRing *trace.Ring
@@ -374,7 +374,7 @@ func newWithOptions(cfg Config, o *options) (*Tracker, error) {
 // before any goroutine starts. Shared by New and Restore.
 func (t *Tracker) applyOptions(o *options) error {
 	if o.haveSink {
-		t.SetSink(o.sink)
+		t.setSink(o.sink)
 	}
 	if o.snapshots {
 		// Arm before the pipeline starts so the coordinator goroutine
@@ -384,10 +384,10 @@ func (t *Tracker) applyOptions(o *options) error {
 		}
 	}
 	if o.tracing != nil {
-		t.EnableTracing(*o.tracing)
+		t.installTracing(*o.tracing)
 	}
 	if o.audit != nil {
-		if err := t.EnableAudit(*o.audit); err != nil {
+		if err := t.installAudit(*o.audit); err != nil {
 			return err
 		}
 	}
@@ -529,19 +529,6 @@ func (t *Tracker) deliverSkew(site int, r stream.Row) {
 	t.deliver(site, r)
 }
 
-// Observe delivers a row to the given site. It is TryObserve with the
-// historical contract: caller bugs (ErrSiteRange, ErrDimension) panic,
-// stale rows are silently dropped and counted.
-//
-// Deprecated: call TryObserve, which reports delivery problems as errors
-// the caller can distinguish (errors.Is against ErrSiteRange, ErrDimension,
-// ErrStale) instead of panicking. Observe remains for compatibility.
-func (t *Tracker) Observe(site int, r Row) {
-	if err := t.TryObserve(site, r); err != nil && !errors.Is(err, ErrStale) {
-		panic(err)
-	}
-}
-
 // ObserveBatch delivers rows[0:] in order to the given site and returns
 // how many the protocol accepted. Stale rows are dropped and counted (as
 // in Observe) without stopping the batch; the first structural error
@@ -644,13 +631,6 @@ func (t *Tracker) FlushSkew() {
 		t.deliverSkew(x.site, x.r)
 	}
 }
-
-// SkewDropped reports rows rejected for arriving beyond the skew horizon
-// or released too late to deliver in order.
-//
-// Deprecated: the count is part of the regular snapshot as
-// Metrics().SkewDropped; this standalone getter remains as an alias.
-func (t *Tracker) SkewDropped() int64 { return t.skewDropped.Load() }
 
 // Advance moves the global clock forward without new data, processing
 // expirations and any resulting protocol traffic. With MaxSkew set it also
@@ -827,7 +807,8 @@ func NewAggregate(cfg Config, opts ...Option) (*AggregateTracker, error) {
 	}
 	t := &AggregateTracker{inner: inner, net: net, sites: cfg.Sites, lastT: lastT}
 	if o.haveSink {
-		t.SetSink(o.sink)
+		net.SetSink(o.sink)
+		inner.SetSink(o.sink)
 	}
 	return t, nil
 }
@@ -856,16 +837,6 @@ func (t *AggregateTracker) Observe(site int, now int64, w float64) {
 	if err := t.TryObserve(site, now, w); err != nil && !errors.Is(err, ErrStale) {
 		panic(err)
 	}
-}
-
-// SetSink installs an event sink receiving the tracker's message and
-// bucket lifecycle events (nil disables). Install before feeding data.
-//
-// Deprecated: pass WithSink to NewAggregate, which wires the sink before
-// any observation can arrive. SetSink remains for uninstalling.
-func (t *AggregateTracker) SetSink(s Sink) {
-	t.net.SetSink(s)
-	t.inner.SetSink(s)
 }
 
 // Advance moves every site's clock forward; observations older than now

@@ -1,6 +1,7 @@
 package distwindow
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -79,7 +80,7 @@ func TestEveryProtocolTracksTheWindow(t *testing.T) {
 		var sum float64
 		n := 0
 		for i, r := range rows {
-			tr.Observe(sites[i], r)
+			mustObserve(t, tr, sites[i], r)
 			u.Add(stream.Row{T: r.T, V: r.V})
 			if i > 800 && i%400 == 0 {
 				sum += u.ErrOf(tr.Sketch())
@@ -98,25 +99,18 @@ func TestEveryProtocolTracksTheWindow(t *testing.T) {
 
 func TestObserveValidation(t *testing.T) {
 	tr, _ := New(Config{Protocol: DA1, D: 3, W: 100, Eps: 0.2, Sites: 2})
-	for name, f := range map[string]func(){
-		"bad site": func() { tr.Observe(5, Row{T: 1, V: []float64{1, 2, 3}}) },
-		"bad dim":  func() { tr.Observe(0, Row{T: 1, V: []float64{1}}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: expected panic", name)
-				}
-			}()
-			f()
-		}()
+	if err := tr.TryObserve(5, Row{T: 1, V: []float64{1, 2, 3}}); !errors.Is(err, ErrSiteRange) {
+		t.Fatalf("bad site: %v, want ErrSiteRange", err)
+	}
+	if err := tr.TryObserve(0, Row{T: 1, V: []float64{1}}); !errors.Is(err, ErrDimension) {
+		t.Fatalf("bad dim: %v, want ErrDimension", err)
 	}
 }
 
 func TestAdvanceExpires(t *testing.T) {
 	tr, _ := New(Config{Protocol: DA2, D: 3, W: 50, Eps: 0.2, Sites: 2})
 	for i, r := range testRows(100, 3, 5) {
-		tr.Observe(i%2, r)
+		mustObserve(t, tr, i%2, r)
 	}
 	tr.Advance(10_000)
 	if mat.FrobSq(tr.Sketch()) > 1e-9 {
@@ -291,7 +285,7 @@ func TestDecayProtocolViaFacade(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(20))
 	for i := int64(1); i <= 800; i++ {
-		tr.Observe(int(i)%2, Row{T: i, V: []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}})
+		mustObserve(t, tr, int(i)%2, Row{T: i, V: []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}})
 	}
 	if mat.FrobSq(tr.Sketch()) == 0 {
 		t.Fatal("decay sketch empty")
@@ -320,7 +314,7 @@ func TestMaxSkewReordersOutOfOrderRows(t *testing.T) {
 
 	ref, _ := New(cfg)
 	for _, r := range rows {
-		ref.Observe(0, r)
+		mustObserve(t, ref, 0, r)
 	}
 
 	jcfg := cfg
@@ -333,11 +327,11 @@ func TestMaxSkewReordersOutOfOrderRows(t *testing.T) {
 		rng.Shuffle(8, func(a, b int) { perm[i+a], perm[i+b] = perm[i+b], perm[i+a] })
 	}
 	for _, r := range perm {
-		jit.Observe(0, r)
+		mustObserve(t, jit, 0, r)
 	}
 	jit.FlushSkew()
-	if jit.SkewDropped() != 0 {
-		t.Fatalf("%d rows dropped within the skew bound", jit.SkewDropped())
+	if got := jit.Metrics().SkewDropped; got != 0 {
+		t.Fatalf("%d rows dropped within the skew bound", got)
 	}
 	if !ref.Sketch().Equal(jit.Sketch()) {
 		t.Fatal("skew-buffered delivery diverged from in-order delivery")
@@ -347,10 +341,12 @@ func TestMaxSkewReordersOutOfOrderRows(t *testing.T) {
 func TestMaxSkewDropsAncientRows(t *testing.T) {
 	cfg := Config{Protocol: DA2, D: 2, W: 100, Eps: 0.2, Sites: 1, MaxSkew: 5}
 	tr, _ := New(cfg)
-	tr.Observe(0, Row{T: 100, V: []float64{1, 0}})
-	tr.Observe(0, Row{T: 50, V: []float64{1, 0}}) // far beyond the horizon
-	if tr.SkewDropped() != 1 {
-		t.Fatalf("SkewDropped = %d, want 1", tr.SkewDropped())
+	mustObserve(t, tr, 0, Row{T: 100, V: []float64{1, 0}})
+	if err := tr.TryObserve(0, Row{T: 50, V: []float64{1, 0}}); !errors.Is(err, ErrStale) { // far beyond the horizon
+		t.Fatalf("ancient row: %v, want ErrStale", err)
+	}
+	if got := tr.Metrics().SkewDropped; got != 1 {
+		t.Fatalf("SkewDropped = %d, want 1", got)
 	}
 }
 
@@ -376,9 +372,9 @@ func TestAnalyticsEdgeCases(t *testing.T) {
 func TestSkewConfigZeroIsDirect(t *testing.T) {
 	tr, _ := New(Config{Protocol: DA1, D: 2, W: 100, Eps: 0.2, Sites: 1})
 	// Without MaxSkew, FlushSkew is a no-op and SkewDropped stays 0.
-	tr.Observe(0, Row{T: 5, V: []float64{1, 0}})
+	mustObserve(t, tr, 0, Row{T: 5, V: []float64{1, 0}})
 	tr.FlushSkew()
-	if tr.SkewDropped() != 0 {
+	if tr.Metrics().SkewDropped != 0 {
 		t.Fatal("no skew buffer should mean no drops")
 	}
 }

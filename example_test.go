@@ -25,8 +25,12 @@ func ExampleNew() {
 	}
 	// Two sites each observe one strong direction.
 	for i := int64(1); i <= 200; i++ {
-		tr.Observe(0, distwindow.Row{T: i, V: []float64{3, 0, 0, 0}})
-		tr.Observe(1, distwindow.Row{T: i, V: []float64{0, 2, 0, 0}})
+		if err := tr.TryObserve(0, distwindow.Row{T: i, V: []float64{3, 0, 0, 0}}); err != nil {
+			panic(err)
+		}
+		if err := tr.TryObserve(1, distwindow.Row{T: i, V: []float64{0, 2, 0, 0}}); err != nil {
+			panic(err)
+		}
 	}
 	b := tr.Sketch()
 	g := mat.Gram(b)

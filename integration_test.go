@@ -17,6 +17,14 @@ import (
 	"distwindow/mat"
 )
 
+// mustObserve feeds one row and fails the test on any delivery error.
+func mustObserve(tb testing.TB, tr *distwindow.Tracker, site int, r distwindow.Row) {
+	tb.Helper()
+	if err := tr.TryObserve(site, r); err != nil {
+		tb.Fatal(err)
+	}
+}
+
 // replay drives a dataset through a tracker, returning average covariance
 // error over periodic checkpoints in the steady state.
 func replay(t *testing.T, tr *distwindow.Tracker, evs []stream.Event, w int64, d int, every int) float64 {
@@ -25,7 +33,7 @@ func replay(t *testing.T, tr *distwindow.Tracker, evs []stream.Event, w int64, d
 	var sum float64
 	n := 0
 	for i, e := range evs {
-		tr.Observe(e.Site, distwindow.Row{T: e.Row.T, V: e.Row.V})
+		mustObserve(t, tr, e.Site, distwindow.Row{T: e.Row.T, V: e.Row.V})
 		u.Add(e.Row)
 		if i > len(evs)/4 && i%every == 0 && u.FrobSq() > 0 {
 			err := u.ErrOf(tr.Sketch())
@@ -94,7 +102,7 @@ func TestIntegrationBurstThenSilence(t *testing.T) {
 		}
 		for i := int64(1); i <= 800; i++ {
 			r := mkRow(i)
-			tr.Observe(rng.Intn(3), distwindow.Row{T: r.T, V: r.V})
+			mustObserve(t, tr, rng.Intn(3), distwindow.Row{T: r.T, V: r.V})
 			u.Add(r)
 		}
 		// Silence: jump far ahead.
@@ -106,7 +114,7 @@ func TestIntegrationBurstThenSilence(t *testing.T) {
 		// Second burst at the new epoch.
 		for i := int64(50_001); i <= 50_600; i++ {
 			r := mkRow(i)
-			tr.Observe(rng.Intn(3), distwindow.Row{T: r.T, V: r.V})
+			mustObserve(t, tr, rng.Intn(3), distwindow.Row{T: r.T, V: r.V})
 			u.Add(r)
 		}
 		if err := u.ErrOf(tr.Sketch()); err > 0.5 {
@@ -126,7 +134,7 @@ func TestIntegrationSingleSite(t *testing.T) {
 		u := window.NewUnion(500, 4)
 		for i := int64(1); i <= 2000; i++ {
 			v := []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
-			tr.Observe(0, distwindow.Row{T: i, V: v})
+			mustObserve(t, tr, 0, distwindow.Row{T: i, V: v})
 			u.Add(stream.Row{T: i, V: v})
 		}
 		if err := u.ErrOf(tr.Sketch()); err > 0.5 {
@@ -146,7 +154,7 @@ func TestIntegrationAllTrafficToOneSite(t *testing.T) {
 		u := window.NewUnion(500, 4)
 		for i := int64(1); i <= 1500; i++ {
 			v := []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
-			tr.Observe(0, distwindow.Row{T: i, V: v})
+			mustObserve(t, tr, 0, distwindow.Row{T: i, V: v})
 			u.Add(stream.Row{T: i, V: v})
 		}
 		if err := u.ErrOf(tr.Sketch()); err > 0.5 {
@@ -172,7 +180,7 @@ func TestIntegrationRegimeFlip(t *testing.T) {
 		} else {
 			v[d-1] = rng.NormFloat64() * 3 // regime B: axis d−1
 		}
-		tr.Observe(rng.Intn(4), distwindow.Row{T: i, V: v})
+		mustObserve(t, tr, rng.Intn(4), distwindow.Row{T: i, V: v})
 	}
 	b := tr.Sketch()
 	g := mat.Gram(b)
@@ -192,7 +200,7 @@ func TestIntegrationDuplicateTimestamps(t *testing.T) {
 	for i := int64(1); i <= 300; i++ {
 		ts := (i / 5) + 1 // 5 rows per tick
 		v := []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
-		tr.Observe(int(i)%2, distwindow.Row{T: ts, V: v})
+		mustObserve(t, tr, int(i)%2, distwindow.Row{T: ts, V: v})
 		u.Add(stream.Row{T: ts, V: v})
 	}
 	if err := u.ErrOf(tr.Sketch()); err > 0.6 {
@@ -212,7 +220,7 @@ func TestIntegrationZeroRows(t *testing.T) {
 			if i%3 == 0 {
 				v = []float64{1, 0, 0}
 			}
-			tr.Observe(int(i)%2, distwindow.Row{T: i, V: v})
+			mustObserve(t, tr, int(i)%2, distwindow.Row{T: i, V: v})
 		}
 		b := tr.Sketch()
 		if b.Cols() != 3 {

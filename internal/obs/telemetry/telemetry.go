@@ -27,9 +27,9 @@ import (
 // counters or instantaneous gauges; rates are derived at the coordinator
 // from consecutive frames, so a dropped frame skews nothing.
 //
-// Frames ride the wire as a gob struct field; the usual field-matching
-// rule keeps them mixed-version compatible (fields added later decode as
-// zero at old peers, unknown fields are skipped — see PROTOCOLS.md).
+// Frames ride the wire as the fixed-width telemetry section of a binary
+// v2 Msg frame (see PROTOCOLS.md); a new field needs a new section layout
+// there.
 type Frame struct {
 	// Site identifies the sender (-1 = the coordinator's own process,
 	// which publishes its local series into the same fleet).

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"io"
 	"math"
@@ -14,6 +13,16 @@ import (
 	"distwindow/internal/obs"
 	"distwindow/mat"
 )
+
+// dialFunc is DialFunc for tests, failing the test on an option error.
+func dialFunc(t testing.TB, dial func() (io.WriteCloser, error), opts ...SenderOption) *ResilientSender {
+	t.Helper()
+	s, err := DialFunc(dial, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
 
 // drainSender polls Flush until the backlog empties or the deadline
 // passes, returning the final pending count. Flush also retries the dial,
@@ -48,7 +57,7 @@ func TestAcceptedButUndeliveredFrameIsRecovered(t *testing.T) {
 	// One write in ten is accepted but never delivered (and the
 	// connection dies, as a crashed peer's would).
 	inj := chaos.New(chaos.Config{Seed: 7, PDrop: 0.1})
-	s := NewResilientSenderFunc(inj.Dial(func() (io.WriteCloser, error) {
+	s := dialFunc(t, inj.Dial(func() (io.WriteCloser, error) {
 		return net.Dial("tcp", ln.Addr().String())
 	}))
 
@@ -98,7 +107,7 @@ func (d *discardConn) Close() error                { return nil }
 // at-most-once is the best that mode can do.
 func TestLegacyModeDocumentsTheLoss(t *testing.T) {
 	sink := &discardConn{}
-	s := NewResilientSenderFunc(func() (io.WriteCloser, error) { return sink, nil })
+	s := dialFunc(t, func() (io.WriteCloser, error) { return sink, nil })
 	if err := s.Send(Msg{Kind: SumDelta, Delta: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -134,14 +143,14 @@ func TestCoordinatorDedupsReplayedFrames(t *testing.T) {
 	if f := mat.FrobSq(c.Sketch()); math.Abs(f-2) > 1e-12 {
 		t.Fatalf("sketch mass %v, want 2: per-site dedup keyed wrongly", f)
 	}
-	// Unsequenced legacy frames are never deduped.
+	// Unsequenced frames are never deduped.
 	for i := 0; i < 2; i++ {
 		if err := c.Apply(Msg{Site: 0, Kind: SumDelta, Delta: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if c.Sum() != 2 {
-		t.Fatalf("Sum = %v, want 2: legacy frames must not be deduped", c.Sum())
+		t.Fatalf("Sum = %v, want 2: unsequenced frames must not be deduped", c.Sum())
 	}
 }
 
@@ -176,17 +185,22 @@ func TestHandleConnAcksSequencedFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
+	// One write per frame, on the default stream.
+	enc := BinaryV2.NewEncoder(conn)
+	dec := BinaryV2.NewDecoder(conn)
 	for i := 1; i <= 3; i++ {
-		if err := enc.Encode(Msg{Site: 0, Kind: SumDelta, T: int64(i), Delta: 1, Seq: uint64(i)}); err != nil {
+		m := Msg{Site: 0, Kind: SumDelta, T: int64(i), Delta: 1, Seq: uint64(i)}
+		if err := enc.EncodeMsg(&m); err != nil {
+			t.Fatal(err)
+		}
+		if err := enc.Flush(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 1; i <= 3; i++ {
 		var a Ack
 		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		if err := dec.Decode(&a); err != nil {
+		if err := dec.DecodeAck(&a); err != nil {
 			t.Fatalf("ack %d: %v", i, err)
 		}
 		if a.Seq != uint64(i) {
@@ -208,65 +222,16 @@ func waitAckedMsgs(coord *Coordinator, want int64) {
 	}
 }
 
-// legacySeqMsg is the pre-ack frame shape: Msg without Seq (the trace
-// fields had already shipped). Both directions must keep decoding.
-type legacySeqMsg struct {
-	Site        int
-	Kind        Kind
-	T           int64
-	V           []float64
-	Delta       float64
-	Trace, Span uint64
-}
-
-func TestGobCompatSeqField(t *testing.T) {
-	// Old sender → new coordinator: Seq decodes as 0 (unsequenced), the
-	// frame is applied, and no ack is written.
-	var up bytes.Buffer
-	if err := gob.NewEncoder(&up).Encode(legacySeqMsg{Site: 2, Kind: SumDelta, T: 4, Delta: 9}); err != nil {
-		t.Fatal(err)
-	}
-	c := NewCoordinator(2)
-	var acks bytes.Buffer
-	if err := c.HandleConn(readWriter{&up, &acks}); err != nil {
-		t.Fatalf("HandleConn on pre-ack stream: %v", err)
-	}
-	if c.Sum() != 9 {
-		t.Fatalf("Sum = %v, want 9", c.Sum())
-	}
-	if acks.Len() != 0 {
-		t.Fatal("coordinator acked an unsequenced legacy frame")
-	}
-
-	// New sender → old coordinator: a sequenced frame decodes into the
-	// pre-ack shape with Seq simply ignored.
-	var down bytes.Buffer
-	if err := gob.NewEncoder(&down).Encode(Msg{Site: 1, Kind: DirectionAdd, T: 2, V: []float64{1, 2}, Seq: 77}); err != nil {
-		t.Fatal(err)
-	}
-	var got legacySeqMsg
-	if err := gob.NewDecoder(&down).Decode(&got); err != nil {
-		t.Fatalf("legacy decode of sequenced frame: %v", err)
-	}
-	if got.Site != 1 || got.Kind != DirectionAdd || len(got.V) != 2 {
-		t.Fatalf("legacy decode mangled the frame: %+v", got)
-	}
-}
-
-type readWriter struct {
-	io.Reader
-	io.Writer
-}
-
 func TestDialBackoffLimitsAttempts(t *testing.T) {
 	dials := 0
-	s := NewResilientSenderFunc(func() (io.WriteCloser, error) {
+	s := dialFunc(t, func() (io.WriteCloser, error) {
 		dials++
 		return nil, errors.New("down")
-	})
-	s.BackoffBase = 20 * time.Millisecond
-	s.BackoffMax = 100 * time.Millisecond
-	s.SetJitterSeed(1)
+	}, WithResilience(ResilienceConfig{
+		BackoffBase: 20 * time.Millisecond,
+		BackoffMax:  100 * time.Millisecond,
+		JitterSeed:  1,
+	}))
 	const n = 500
 	for i := 0; i < n; i++ {
 		if err := s.Send(Msg{Kind: SumDelta, Delta: 1}); err != nil {
@@ -287,15 +252,16 @@ func TestDialBackoffLimitsAttempts(t *testing.T) {
 func TestBackoffResetsAfterSuccess(t *testing.T) {
 	fail := true
 	var sink bytes.Buffer
-	s := NewResilientSenderFunc(func() (io.WriteCloser, error) {
+	s := dialFunc(t, func() (io.WriteCloser, error) {
 		if fail {
 			return nil, errors.New("down")
 		}
 		return nopCloser{&sink}, nil
-	})
-	s.BackoffBase = time.Millisecond
-	s.BackoffMax = 4 * time.Millisecond
-	s.SetJitterSeed(1)
+	}, WithResilience(ResilienceConfig{
+		BackoffBase: time.Millisecond,
+		BackoffMax:  4 * time.Millisecond,
+		JitterSeed:  1,
+	}))
 	s.Send(Msg{Kind: SumDelta, Delta: 1})
 	fail = false
 	if p := drainSender(s, 2*time.Second); p != 0 {
@@ -307,7 +273,7 @@ func TestBackoffResetsAfterSuccess(t *testing.T) {
 }
 
 func TestCloseRefusesToLosePending(t *testing.T) {
-	s := NewResilientSenderFunc(func() (io.WriteCloser, error) {
+	s := dialFunc(t, func() (io.WriteCloser, error) {
 		return nil, errors.New("down")
 	})
 	for i := 0; i < 4; i++ {
@@ -335,12 +301,11 @@ func TestCloseRefusesToLosePending(t *testing.T) {
 }
 
 func TestLivenessStaleAndResync(t *testing.T) {
-	c := NewCoordinator(2)
+	var events []obs.Event
+	c := NewCoordinator(2, WithStaleAfter(10*time.Second),
+		WithSink(obs.FuncSink(func(e obs.Event) { events = append(events, e) })))
 	clock := time.Unix(0, 0)
 	c.now = func() time.Time { return clock }
-	c.SetStaleAfter(10 * time.Second)
-	var events []obs.Event
-	c.SetSink(obs.FuncSink(func(e obs.Event) { events = append(events, e) }))
 
 	c.Apply(Msg{Site: 0, Kind: SumDelta, Delta: 1, Seq: 1})
 	c.Apply(Msg{Site: 1, Kind: SumDelta, Delta: 1, Seq: 1})
@@ -395,7 +360,7 @@ func TestLivenessStaleAndResync(t *testing.T) {
 }
 
 func TestSenderStateRoundTrip(t *testing.T) {
-	s := NewResilientSenderFunc(func() (io.WriteCloser, error) {
+	s := dialFunc(t, func() (io.WriteCloser, error) {
 		return nil, errors.New("down")
 	})
 	for i := 0; i < 3; i++ {
@@ -406,7 +371,7 @@ func TestSenderStateRoundTrip(t *testing.T) {
 		t.Fatalf("State = NextSeq %d, %d backlog", st.NextSeq, len(st.Backlog))
 	}
 
-	r := NewResilientSenderFunc(func() (io.WriteCloser, error) {
+	r := dialFunc(t, func() (io.WriteCloser, error) {
 		return nil, errors.New("down")
 	})
 	if err := r.RestoreState(st); err != nil {
@@ -423,7 +388,7 @@ func TestSenderStateRoundTrip(t *testing.T) {
 
 	bad := st
 	bad.NextSeq = 1 // behind the backlog tail
-	if err := NewResilientSenderFunc(nil).RestoreState(bad); err == nil {
+	if err := dialFunc(t, nil).RestoreState(bad); err == nil {
 		t.Fatal("want error for NextSeq behind backlog")
 	}
 }
@@ -467,8 +432,12 @@ func TestDeepBacklogDrainsUnderLossyLink(t *testing.T) {
 	coord := NewCoordinator(2)
 	go coord.Serve(ln)
 
-	inj := chaos.New(chaos.Config{Seed: 11, PDrop: 0.04, PCut: 0.02})
-	s := NewResilientSenderFunc(inj.Dial(func() (io.WriteCloser, error) {
+	// Faults are drawn per Write, and the v2 encoder coalesces a whole
+	// window of frames into one Write once the window is full, so the
+	// per-write rates are set high enough that a run sees both drops and
+	// cuts.
+	inj := chaos.New(chaos.Config{Seed: 11, PDrop: 0.15, PCut: 0.08})
+	s := dialFunc(t, inj.Dial(func() (io.WriteCloser, error) {
 		return net.Dial("tcp", ln.Addr().String())
 	}))
 

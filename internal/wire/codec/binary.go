@@ -46,11 +46,10 @@ import (
 //
 // Hello (frame type 0) is the one-shot handshake preamble: each encoder
 // writes one Hello before its first frame, carrying the highest codec
-// version the sender speaks; decoders record it and skip the frame. The
-// negotiation matrix lives in PROTOCOLS.md — the short version is that
-// sniffing does the work (a v2-aware coordinator detects either codec
-// per connection) and Hello exists so a future v3 can be negotiated
-// without a new magic byte.
+// version the sender speaks; decoders record it and skip the frame. v2 is
+// the only framing (PROTOCOLS.md): bytes in any other framing are
+// rejected as corrupt frames, and Hello exists so a future v3 can be
+// negotiated without a new magic byte.
 const (
 	magic0 = 0xD5
 	magic1 = 0x9C
@@ -356,7 +355,7 @@ type binaryDecoder struct {
 }
 
 // newBinaryDecoderBuffered builds a decoder whose window is pre-seeded
-// with already-read bytes (the sniffed first byte from Detect).
+// with already-read bytes (nil for a decoder at the start of a stream).
 func newBinaryDecoderBuffered(r io.Reader, seed []byte) *binaryDecoder {
 	d := &binaryDecoder{r: r, buf: frameBufs.get()}
 	d.buf = append(d.buf, seed...)

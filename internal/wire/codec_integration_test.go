@@ -3,7 +3,6 @@ package wire
 import (
 	"io"
 	"math"
-	"math/rand"
 	"net"
 	"sync"
 	"testing"
@@ -13,9 +12,8 @@ import (
 	"distwindow/mat"
 )
 
-// corruptConn flips one byte of the Nth Write — a bit-rot fault the
-// gob framing cannot survive (the stream desynchronizes and the
-// connection dies) but the v2 framing must absorb frame-locally.
+// corruptConn flips one byte of the Nth Write — a bit-rot fault the v2
+// framing must absorb frame-locally, without losing the connection.
 type corruptConn struct {
 	net.Conn
 	mu     sync.Mutex
@@ -77,7 +75,7 @@ func TestCorruptFrameMidStreamRecovered(t *testing.T) {
 		}
 		cc = &corruptConn{Conn: conn, writeN: 2, offset: 20}
 		return cc, nil
-	}, WithCodec(BinaryV2))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,90 +138,9 @@ func TestCorruptFrameMidStreamRecovered(t *testing.T) {
 	s.Close()
 }
 
-// TestMixedCodecFleetBitIdentical runs a fleet where half the sites speak
-// gob and half speak binary v2 into ONE coordinator, and requires the
-// final estimate to be bit-identical to applying the same deltas
-// directly: the codec is a transport detail, invisible to the estimate.
-func TestMixedCodecFleetBitIdentical(t *testing.T) {
-	const (
-		d    = 4
-		nmsg = 48
-	)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	coord := NewCoordinator(d)
-	go coord.Serve(ln)
-	defer coord.Close()
-	ref := NewCoordinator(d)
-
-	codecs := []Codec{Gob, BinaryV2, Gob, BinaryV2}
-	senders := make([]*ResilientSender, len(codecs))
-	for i := range senders {
-		s, err := DialFunc(func() (io.WriteCloser, error) {
-			return net.DialTimeout("tcp", ln.Addr().String(), 2*time.Second)
-		}, WithCodec(codecs[i]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		senders[i] = s
-	}
-
-	rng := rand.New(rand.NewSource(5))
-	seqs := make([]uint64, len(codecs))
-	for i := 0; i < nmsg; i++ {
-		si := i % len(codecs)
-		m := Msg{Site: si, T: int64(i + 1)}
-		if i%5 == 4 {
-			m.Kind = SumDelta
-			m.Delta = rng.NormFloat64()
-		} else {
-			m.Kind = DirectionAdd
-			m.V = make([]float64, d)
-			for j := range m.V {
-				m.V[j] = rng.NormFloat64()
-			}
-		}
-		if err := senders[si].Send(m); err != nil {
-			t.Fatal(err)
-		}
-		// Serialize delivery so both coordinators apply in one order —
-		// float addition is order-sensitive and the comparison is exact.
-		if p := drainSender(senders[si], 10*time.Second); p != 0 {
-			t.Fatalf("site %d: %d pending", si, p)
-		}
-		seqs[si]++
-		m.Seq = seqs[si]
-		if err := ref.Apply(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	got, want := coord.Snapshot(), ref.Snapshot()
-	if len(got.Chat) != len(want.Chat) {
-		t.Fatalf("estimate sizes differ: %d vs %d", len(got.Chat), len(want.Chat))
-	}
-	for i := range want.Chat {
-		if got.Chat[i] != want.Chat[i] {
-			t.Fatalf("Ĉ[%d]: mixed fleet %v, reference %v — a codec perturbed the estimate", i, got.Chat[i], want.Chat[i])
-		}
-	}
-	if coord.Sum() != ref.Sum() {
-		t.Fatalf("Sum: mixed fleet %v, reference %v", coord.Sum(), ref.Sum())
-	}
-	if cm := coord.Metrics(); cm.Msgs != nmsg || cm.BadMsgs != 0 {
-		t.Fatalf("Msgs=%d BadMsgs=%d, want %d and 0", cm.Msgs, cm.BadMsgs, nmsg)
-	}
-	for i := range senders {
-		senders[i].Close()
-	}
-}
-
-// TestHandleConnV2AcksSequencedFrames mirrors the gob ack test on a raw
-// binary v2 connection: the coordinator detects the codec from the first
-// byte and acks in kind.
+// TestHandleConnV2AcksSequencedFrames sends one coalesced batch on a
+// named stream over a raw binary v2 connection: every frame is acked on
+// its stream.
 func TestHandleConnV2AcksSequencedFrames(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -23,15 +23,17 @@ import (
 // exposition is syntactically valid, carries per-(site, stream) series
 // with site/stream/protocol labels from live telemetry, and the data
 // plane stayed exactly-once under the injected faults.
-func TestFleetSmoke(t *testing.T)         { runFleetSmoke(t, Gob) }
-func TestFleetSmokeBinaryV2(t *testing.T) { runFleetSmoke(t, BinaryV2) }
+func TestFleetSmoke(t *testing.T) { runFleetSmoke(t) }
 
-func runFleetSmoke(t *testing.T, cdc Codec) {
+// TestFleetSmokeBinaryV2 runs the same smoke with the framing selected
+// explicitly through WithCodec instead of the sender default.
+func TestFleetSmokeBinaryV2(t *testing.T) { runFleetSmoke(t, WithCodec(BinaryV2)) }
+
+func runFleetSmoke(t *testing.T, extra ...SenderOption) {
 	const sites = 2
 	const rowsPerSite = 200
 
-	coord := NewCoordinator(2)
-	coord.SetStaleAfter(30 * time.Second)
+	coord := NewCoordinator(2, WithStaleAfter(30*time.Second))
 	fleet := coord.EnableTelemetry()
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -54,7 +56,7 @@ func runFleetSmoke(t *testing.T, cdc Codec) {
 		s := &site{}
 		sender, err := DialFunc(inj.Dial(func() (io.WriteCloser, error) {
 			return net.DialTimeout("tcp", addr, time.Second)
-		}), WithCodec(cdc))
+		}), extra...)
 		if err != nil {
 			t.Fatal(err)
 		}

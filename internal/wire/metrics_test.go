@@ -29,9 +29,8 @@ func TestMetricsEndpointsWhileStreaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord := NewCoordinator(d)
 	var sink obs.CountingSink
-	coord.SetSink(&sink)
+	coord := NewCoordinator(d, WithSink(&sink))
 	go coord.Serve(ln)
 
 	srv := httptest.NewServer(coord.MetricsMux())
@@ -62,7 +61,11 @@ func TestMetricsEndpointsWhileStreaming(t *testing.T) {
 				siteErrs[si] = err
 				return
 			}
-			sender := NewConnSender(conn)
+			sender, err := NewSender(conn)
+			if err != nil {
+				siteErrs[si] = err
+				return
+			}
 			senders[si] = sender
 			defer sender.Close()
 			site, err := NewDA1Site(SiteConfig{ID: si, D: d, W: w, Eps: 0.15}, sender)
@@ -161,7 +164,10 @@ func TestCoordinatorConnsGauge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sender := NewConnSender(conn)
+	sender, err := NewSender(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := sender.Send(Msg{Site: 0, Kind: DirectionAdd, T: 1, V: []float64{1, 0}}); err != nil {
 		t.Fatal(err)
 	}

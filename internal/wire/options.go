@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"time"
 
 	"distwindow/internal/obs"
@@ -13,10 +14,7 @@ import (
 
 // This file is the transport construction API: NewSender/Dial/DialFunc
 // for the site side and the CoordinatorOption set for NewCoordinator,
-// mirroring the facade's New(cfg, opts...) idiom. The pre-options
-// constructors (NewConnSender, NewResilientSender, NewResilientSenderFunc)
-// and mutators (SetSink, SetTracer, SetStaleAfter) remain as thin
-// deprecated shims over this API.
+// mirroring the facade's New(cfg, opts...) idiom.
 
 // ErrOptionUnsupported reports an option that does not apply to the
 // transport being built — e.g. WithResilience on NewSender, whose fixed
@@ -33,9 +31,8 @@ type senderOptions struct {
 	resilient bool // the transport being built can honor WithResilience
 }
 
-// WithCodec selects the wire framing (Gob or BinaryV2). The default is
-// Gob — the frame format every coordinator understands; BinaryV2 needs a
-// codec-aware coordinator (see PROTOCOLS.md's negotiation matrix).
+// WithCodec selects the wire framing. BinaryV2 is the only framing and
+// the default, so the option changes nothing today.
 func WithCodec(c Codec) SenderOption {
 	return func(o *senderOptions) error {
 		if c == nil {
@@ -94,7 +91,7 @@ func WithResilience(rc ResilienceConfig) SenderOption {
 }
 
 func applySenderOptions(resilient bool, opts []SenderOption) (senderOptions, error) {
-	o := senderOptions{codec: Gob, resilient: resilient}
+	o := senderOptions{codec: BinaryV2, resilient: resilient}
 	for _, opt := range opts {
 		if err := opt(&o); err != nil {
 			return o, err
@@ -104,9 +101,9 @@ func applySenderOptions(resilient bool, opts []SenderOption) (senderOptions, err
 }
 
 // NewSender wraps one established connection in a sender: every Send is
-// encoded in the configured codec (WithCodec, default Gob) and flushed
-// through immediately. Delivery is as reliable as the connection — for
-// reconnect-and-replay semantics use Dial or DialFunc instead.
+// encoded in the binary v2 framing and flushed through immediately.
+// Delivery is as reliable as the connection — for reconnect-and-replay
+// semantics use Dial or DialFunc instead.
 func NewSender(conn io.WriteCloser, opts ...SenderOption) (*ConnSender, error) {
 	o, err := applySenderOptions(false, opts)
 	if err != nil {
@@ -117,13 +114,25 @@ func NewSender(conn io.WriteCloser, opts ...SenderOption) (*ConnSender, error) {
 
 // Dial returns a resilient sender that (re)dials addr over TCP,
 // delivering exactly-once via the seq/ack/replay machinery. Options:
-// WithCodec, WithStream, WithResilience.
+// WithStream, WithResilience. Backoff defaults to 50ms base and 5s cap,
+// with a time-seeded dial jitter (ResilienceConfig.JitterSeed fixes it).
 func Dial(addr string, opts ...SenderOption) (*ResilientSender, error) {
 	o, err := applySenderOptions(true, opts)
 	if err != nil {
 		return nil, err
 	}
-	s := NewResilientSender(addr)
+	s := &ResilientSender{
+		addr:        addr,
+		DialTimeout: 5 * time.Second,
+		BackoffBase: 50 * time.Millisecond,
+		BackoffMax:  5 * time.Second,
+		MaxInflight: DefaultMaxInflight,
+		rng:         rand.New(rand.NewSource(time.Now().UnixNano())),
+		now:         time.Now,
+	}
+	s.dial = func() (io.WriteCloser, error) {
+		return net.DialTimeout("tcp", addr, s.DialTimeout)
+	}
 	configureResilient(s, o)
 	return s, nil
 }
@@ -132,12 +141,19 @@ func Dial(addr string, opts ...SenderOption) (*ResilientSender, error) {
 // wrappers (package chaos), in-process pipes, tests. The returned conn's
 // capabilities pick the delivery mode: an io.Reader gets the
 // acknowledged path, a bare io.WriteCloser the retire-on-write one.
+// Backoff starts disabled (ResilienceConfig.BackoffBase enables it).
 func DialFunc(dial func() (io.WriteCloser, error), opts ...SenderOption) (*ResilientSender, error) {
 	o, err := applySenderOptions(true, opts)
 	if err != nil {
 		return nil, err
 	}
-	s := NewResilientSenderFunc(dial)
+	s := &ResilientSender{
+		dial:        dial,
+		DialTimeout: time.Second,
+		MaxInflight: DefaultMaxInflight,
+		rng:         rand.New(rand.NewSource(1)),
+		now:         time.Now,
+	}
 	configureResilient(s, o)
 	return s, nil
 }
@@ -176,20 +192,24 @@ func configureResilient(s *ResilientSender, o senderOptions) {
 type CoordinatorOption func(*Coordinator)
 
 // WithSink installs an event sink receiving one EvMsgReceived per
-// applied message and one EvMsgRejected per malformed or corrupt frame
-// (nil disables).
+// applied message, with Site set to the original sender, and one
+// EvMsgRejected per malformed or corrupt frame (nil disables).
 func WithSink(s obs.Sink) CoordinatorOption {
 	return func(c *Coordinator) { c.sink = s }
 }
 
-// WithTracer installs a causal tracer (nil disables); see SetTracer for
-// the span semantics.
+// WithTracer installs a causal tracer (nil disables). Traced messages
+// (Msg.Trace != 0) get an "apply" span linked under the sender's "send"
+// span; sketch queries get root "query" spans, head-sampled at the
+// tracer's rate. Only linked and root spans are recorded, so one tracer
+// is safe across connection goroutines.
 func WithTracer(tr *trace.Tracer) CoordinatorOption {
 	return func(c *Coordinator) { c.tracer = tr }
 }
 
-// WithStaleAfter configures the per-site liveness bound (0 disables
-// staleness detection).
+// WithStaleAfter configures the per-site liveness bound: a site whose
+// last frame is older than d is reported stale by CheckLiveness, Metrics
+// and SiteStatuses (0 disables staleness detection, the default).
 func WithStaleAfter(d time.Duration) CoordinatorOption {
 	return func(c *Coordinator) { c.staleAfter = d }
 }

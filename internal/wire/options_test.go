@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"distwindow/internal/obs"
-	"distwindow/internal/wire/codec"
 )
 
 func TestWithResilienceUnsupportedOnNewSender(t *testing.T) {
@@ -52,28 +51,28 @@ func TestWithStreamStampsBeforeSequencing(t *testing.T) {
 	}
 }
 
+// TestNewSenderWithCodecAndStream: with or without WithCodec, NewSender
+// writes binary v2 frames stamped with the WithStream default.
 func TestNewSenderWithCodecAndStream(t *testing.T) {
-	var sink bytes.Buffer
-	s, err := NewSender(nopCloser{&sink}, WithCodec(BinaryV2), WithStream("prices"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Send(Msg{Site: 4, Kind: SumDelta, Delta: 2.5}); err != nil {
-		t.Fatal(err)
-	}
-	dec, cdc, err := codec.Detect(&sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cdc != BinaryV2 {
-		t.Fatalf("sniffed %v, want v2", cdc)
-	}
-	var m Msg
-	if err := dec.DecodeMsg(&m); err != nil {
-		t.Fatal(err)
-	}
-	if m.Site != 4 || m.Delta != 2.5 || m.StreamID != "prices" {
-		t.Fatalf("decoded %+v", m)
+	for _, opts := range [][]SenderOption{
+		{WithCodec(BinaryV2), WithStream("prices")},
+		{WithStream("prices")},
+	} {
+		var sink bytes.Buffer
+		s, err := NewSender(nopCloser{&sink}, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Send(Msg{Site: 4, Kind: SumDelta, Delta: 2.5}); err != nil {
+			t.Fatal(err)
+		}
+		var m Msg
+		if err := BinaryV2.NewDecoder(&sink).DecodeMsg(&m); err != nil {
+			t.Fatalf("%d options: not a v2 stream: %v", len(opts), err)
+		}
+		if m.Site != 4 || m.Delta != 2.5 || m.StreamID != "prices" {
+			t.Fatalf("decoded %+v", m)
+		}
 	}
 }
 
@@ -105,26 +104,8 @@ func TestWithResilienceFields(t *testing.T) {
 	if s2.MaxInflight != DefaultMaxInflight {
 		t.Fatalf("zero MaxInflight overrode the default: %d", s2.MaxInflight)
 	}
-}
-
-// TestDeprecatedShimsStillGob: the pre-options constructors keep building
-// gob senders, so code that has not migrated keeps its wire format.
-func TestDeprecatedShimsStillGob(t *testing.T) {
-	var sink bytes.Buffer
-	cs := NewConnSender(nopCloser{&sink})
-	if err := cs.Send(Msg{Site: 1, Kind: SumDelta, Delta: 1}); err != nil {
-		t.Fatal(err)
-	}
-	_, cdc, err := codec.Detect(&sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cdc != Gob {
-		t.Fatalf("NewConnSender writes %v, want gob", cdc)
-	}
-	rs := NewResilientSenderFunc(func() (io.WriteCloser, error) { return nil, errors.New("down") })
-	if rs.cdc() != Gob {
-		t.Fatalf("NewResilientSenderFunc codec = %v, want gob", rs.cdc())
+	if s2.codec != BinaryV2 {
+		t.Fatalf("DialFunc framing = %v, want v2", s2.codec)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"sort"
 	"sync"
 	"time"
@@ -28,18 +27,18 @@ func (e *PendingError) Error() string {
 	return fmt.Sprintf("wire: close would lose %d undelivered messages (Flush first, or set DiscardPending)", e.Pending)
 }
 
-// ResilientSender wraps dial-on-demand reconnection around a gob stream:
-// every message is stamped with a sequence number and held in an ordered
-// backlog until the coordinator acknowledges it, so a connection that
-// dies at ANY point — before the write, during it, or after the bytes
-// reached the kernel but never the coordinator — loses nothing: the next
-// connection replays the unacknowledged backlog in order, and the
+// ResilientSender wraps dial-on-demand reconnection around a binary v2
+// stream: every message is stamped with a sequence number and held in an
+// ordered backlog until the coordinator acknowledges it, so a connection
+// that dies at ANY point — before the write, during it, or after the
+// bytes reached the kernel but never the coordinator — loses nothing: the
+// next connection replays the unacknowledged backlog in order, and the
 // coordinator's (Site, Seq) dedup makes the replay exactly-once.
 //
 // Transports that cannot carry acks (a write-only io.WriteCloser from the
 // dial seam) degrade to the pre-ack behaviour: a message is retired as
-// soon as its encode succeeds, which is at-most-once across connection
-// death. Real net.Conns always get the acknowledged path.
+// soon as the write carrying it succeeds, which is at-most-once across
+// connection death. Real net.Conns always get the acknowledged path.
 //
 // While the coordinator is unreachable, dial attempts back off
 // exponentially with jitter between BackoffBase and BackoffMax instead of
@@ -59,7 +58,7 @@ type ResilientSender struct {
 	// connection survives the ENTIRE replay plus an ack round-trip — on a
 	// lossy link that probability decays geometrically with backlog depth,
 	// and retirement stalls forever while replay traffic burns. 0 means
-	// unlimited (the constructors default it to DefaultMaxInflight).
+	// unlimited (Dial and DialFunc default it to DefaultMaxInflight).
 	// Ignored on write-only transports, which retire on write.
 	MaxInflight int
 	// BackoffBase and BackoffMax bound the exponential backoff between
@@ -70,9 +69,9 @@ type ResilientSender struct {
 	// of returning a *PendingError.
 	DiscardPending bool
 
-	// codec is the wire framing Send speaks (Gob unless WithCodec chose
-	// BinaryV2); stream is the default stream id stamped onto messages
-	// sent without one (WithStream). Set at construction, read-only after.
+	// codec is the wire framing Send speaks (BinaryV2); stream is the
+	// default stream id stamped onto messages sent without one
+	// (WithStream). Set at construction, read-only after.
 	codec  Codec
 	stream string
 
@@ -104,64 +103,14 @@ type ResilientSender struct {
 	dialFails obs.Counter
 }
 
-// DefaultMaxInflight is the flow-control window the constructors install
+// DefaultMaxInflight is the flow-control window Dial and DialFunc install
 // when ResilienceConfig.MaxInflight is zero.
 const DefaultMaxInflight = 64
-
-// NewResilientSender returns a sender that (re)dials addr over TCP, with
-// backoff defaults of 50ms base and 5s cap and a time-seeded dial jitter
-// (use SetJitterSeed for reproducible runs).
-//
-// Deprecated: use Dial, which takes options (WithCodec, WithStream,
-// WithResilience).
-func NewResilientSender(addr string) *ResilientSender {
-	s := &ResilientSender{
-		addr:        addr,
-		codec:       Gob,
-		DialTimeout: 5 * time.Second,
-		BackoffBase: 50 * time.Millisecond,
-		BackoffMax:  5 * time.Second,
-		MaxInflight: DefaultMaxInflight,
-		rng:         rand.New(rand.NewSource(time.Now().UnixNano())),
-		now:         time.Now,
-	}
-	s.dial = func() (io.WriteCloser, error) {
-		return net.DialTimeout("tcp", addr, s.DialTimeout)
-	}
-	return s
-}
-
-// NewResilientSenderFunc builds a sender over an arbitrary dial seam —
-// fault-injection wrappers (package chaos), in-process pipes, tests. The
-// returned conn's capabilities pick the delivery mode: an io.Reader gets
-// the acknowledged path, a bare io.WriteCloser the retire-on-write one.
-// Backoff starts disabled; set BackoffBase to enable it.
-//
-// Deprecated: use DialFunc, which takes options (WithCodec, WithStream,
-// WithResilience).
-func NewResilientSenderFunc(dial func() (io.WriteCloser, error)) *ResilientSender {
-	return &ResilientSender{
-		dial:        dial,
-		codec:       Gob,
-		DialTimeout: time.Second,
-		MaxInflight: DefaultMaxInflight,
-		rng:         rand.New(rand.NewSource(1)),
-		now:         time.Now,
-	}
-}
 
 // Stream returns a Sender view stamping every message with the given
 // stream id before it enters the delivery machinery, so many logical
 // streams can multiplex over this one sender and connection.
 func (s *ResilientSender) Stream(id string) Sender { return StreamOf(s, id) }
-
-// SetJitterSeed reseeds the dial-jitter RNG, making backoff timing
-// reproducible. Call before Send.
-func (s *ResilientSender) SetJitterSeed(seed int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.rng = rand.New(rand.NewSource(seed))
-}
 
 // Send stamps the message with its stream's next sequence number and
 // queues it until acknowledged, transparently reconnecting and replaying
@@ -257,9 +206,8 @@ func (s *ResilientSender) FlushWait(timeout time.Duration) int {
 // dialing if needed (subject to the backoff window). Frames are encoded
 // into the codec's batch buffer and flushed in one writev-style Write at
 // the end of the drain, so a deep backlog replay costs one syscall per
-// batch, not per frame (the gob codec writes through per frame — its
-// stream format has no coalescing seam). On error the connection is
-// dropped and the rest stays buffered for the next attempt.
+// batch, not per frame. On error the connection is dropped and the rest
+// stays buffered for the next attempt.
 func (s *ResilientSender) drainLocked() {
 	if s.conn == nil {
 		if s.backoff > 0 && s.now().Before(s.nextDial) {
@@ -274,7 +222,7 @@ func (s *ResilientSender) drainLocked() {
 		}
 		s.backoff = 0
 		s.conn = conn
-		s.enc = s.cdc().NewEncoder(conn)
+		s.enc = s.codec.NewEncoder(conn)
 		s.sent = 0
 		s.gen++
 		if r, ok := conn.(io.Reader); ok {
@@ -312,26 +260,21 @@ func (s *ResilientSender) drainLocked() {
 				s.maxSentStream[m.StreamID] = m.Seq
 			}
 		}
-		if s.ackMode {
-			s.sent++
-		} else {
-			// Write-only transport: no acks will ever arrive, so retire on
-			// write as the pre-ack sender did (at-most-once delivery).
-			s.backlog = s.backlog[1:]
-		}
+		s.sent++
 	}
 	if err := s.enc.Flush(); err != nil {
 		s.dropConnLocked()
+		return
 	}
-}
-
-// cdc returns the sender's codec, defaulting to Gob so zero-value and
-// test-constructed senders keep the legacy framing.
-func (s *ResilientSender) cdc() Codec {
-	if s.codec == nil {
-		return Gob
+	if !s.ackMode {
+		// Write-only transport: no acks will ever arrive, so retire on
+		// write (at-most-once delivery) — but only once the batch has
+		// been flushed, or a failed Write would lose frames that were
+		// merely buffered.
+		clear(s.backlog[:s.sent])
+		s.backlog = s.backlog[s.sent:]
+		s.sent = 0
 	}
-	return s.codec
 }
 
 // bumpBackoffLocked doubles the backoff (capped) and schedules the next
@@ -375,11 +318,10 @@ func (s *ResilientSender) dropConnLocked() {
 }
 
 // readAcks retires acknowledged backlog prefixes for one connection
-// generation. A decode error (the connection died, or the peer is an old
-// coordinator closing without acks) drops the connection so the next
-// Send/Flush redials and replays.
+// generation. A decode error (the connection died, or the peer closed
+// it) drops the connection so the next Send/Flush redials and replays.
 func (s *ResilientSender) readAcks(r io.Reader, conn io.WriteCloser, gen uint64) {
-	dec := s.cdc().NewDecoder(r)
+	dec := s.codec.NewDecoder(r)
 	if rel, ok := dec.(interface{ Release() }); ok {
 		defer rel.Release()
 	}
@@ -400,12 +342,12 @@ func (s *ResilientSender) readAcks(r io.Reader, conn io.WriteCloser, gen uint64)
 		}
 		s.retireLocked(a)
 		if a.Nack && s.conn == conn {
-			// The coordinator lost a frame (CRC-rejected under the binary
-			// framing) and asks for a rewind: everything still in the
-			// backlog past the ack horizon must be re-sent on this
-			// connection. Resetting the written-prefix cursor makes the
-			// next drain replay the whole remaining backlog — the dedup
-			// machinery absorbs the frames the coordinator did consume.
+			// The coordinator lost a frame (CRC-rejected) and asks for a
+			// rewind: everything still in the backlog past the ack horizon
+			// must be re-sent on this connection. Resetting the
+			// written-prefix cursor makes the next drain replay the whole
+			// remaining backlog — the dedup machinery absorbs the frames
+			// the coordinator did consume.
 			s.sent = 0
 			s.drainLocked()
 		}

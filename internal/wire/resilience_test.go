@@ -39,14 +39,14 @@ func TestResilientSenderReplaysBacklogAfterReconnect(t *testing.T) {
 	go coord.Serve(ln)
 
 	dials := 0
-	s := NewResilientSenderFunc(func() (io.WriteCloser, error) {
+	s := dialFunc(t, func() (io.WriteCloser, error) {
 		dials++
 		conn, err := net.Dial("tcp", ln.Addr().String())
 		if err != nil {
 			return nil, err
 		}
-		// First connection dies after 2 writes (gob sends type info +
-		// messages as separate writes, so this drops mid-stream).
+		// First connection dies after 2 writes (each Send flushes its
+		// frame in one write, so this drops mid-stream).
 		if dials == 1 {
 			return &flakyConn{inner: conn, remaining: 2}, nil
 		}
@@ -54,6 +54,13 @@ func TestResilientSenderReplaysBacklogAfterReconnect(t *testing.T) {
 	})
 
 	for i := 0; i < 20; i++ {
+		if i == 2 {
+			// The first connection's two frames were retired on write; let
+			// them land before the third write kills the connection, so the
+			// replay on the second connection cannot overtake them (the
+			// coordinator's dedup horizon would drop them as replays).
+			waitFor(t, func() bool { return coord.Metrics().Msgs == 2 })
+		}
 		if err := s.Send(Msg{Kind: DirectionAdd, V: []float64{1, 0}}); err != nil {
 			t.Fatal(err)
 		}
@@ -83,8 +90,31 @@ func TestResilientSenderReplaysBacklogAfterReconnect(t *testing.T) {
 	}
 }
 
+// TestWriteOnlyKeepsUnflushedFrames: on a write-only transport a frame
+// is retired only once its batch reached the connection. A Write that
+// fails must leave the frame in the backlog, not lose it.
+func TestWriteOnlyKeepsUnflushedFrames(t *testing.T) {
+	var sink bytes.Buffer
+	up := true
+	s := dialFunc(t, func() (io.WriteCloser, error) {
+		if !up {
+			return nil, errors.New("down")
+		}
+		up = false
+		return &flakyConn{inner: nopCloser{&sink}, remaining: 1}, nil
+	})
+	s.Send(Msg{Kind: SumDelta, Delta: 1})
+	if p := s.Pending(); p != 0 {
+		t.Fatalf("Pending = %d after a successful write, want 0", p)
+	}
+	s.Send(Msg{Kind: SumDelta, Delta: 2})
+	if p := s.Pending(); p != 1 {
+		t.Fatalf("Pending = %d after a failed write, want 1: the frame was lost", p)
+	}
+}
+
 func TestResilientSenderBacklogLimit(t *testing.T) {
-	s := NewResilientSenderFunc(func() (io.WriteCloser, error) {
+	s := dialFunc(t, func() (io.WriteCloser, error) {
 		return nil, errors.New("unreachable")
 	})
 	s.MaxBacklog = 3
@@ -104,7 +134,7 @@ func TestResilientSenderBacklogLimit(t *testing.T) {
 func TestResilientSenderBuffersWhileDown(t *testing.T) {
 	up := false
 	var sink bytes.Buffer
-	s := NewResilientSenderFunc(func() (io.WriteCloser, error) {
+	s := dialFunc(t, func() (io.WriteCloser, error) {
 		if !up {
 			return nil, errors.New("down")
 		}

@@ -6,11 +6,10 @@
 // folds them into its covariance estimate and answers sketch queries
 // concurrently.
 //
-// Frames travel in one of two codecs (package codec): the legacy
-// encoding/gob streams, or the binary v2 framing whose per-frame CRC
-// lets a corrupted stream resynchronize instead of dying. Senders pick
-// their codec (WithCodec); the coordinator detects it per connection
-// from the first byte, so v2 and gob sites mix freely on one listener.
+// Frames travel in the binary v2 framing (package codec), whose
+// per-frame CRC lets a corrupted stream resynchronize instead of dying.
+// It is the only framing: the coordinator reads every connection as v2,
+// and bytes in any other framing are rejected as corrupt frames.
 //
 // Only the one-way family is wired: its sites never wait for coordinator
 // responses, so a site is just an encoder over a persistent connection.
@@ -22,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"sort"
@@ -36,9 +36,9 @@ import (
 )
 
 // Msg is the single message type of the one-way protocols. The type
-// lives in the codec subpackage next to the framings that carry it; the
-// alias keeps this package's API (and the gob wire names) unchanged —
-// see codec.Msg for the field and compatibility documentation.
+// lives in the codec subpackage next to the framing that carries it; the
+// alias keeps this package's API unchanged — see codec.Msg for the field
+// documentation.
 type Msg = codec.Msg
 
 // Ack acknowledges consumed sequenced frames, cumulatively per stream;
@@ -58,21 +58,13 @@ const (
 	Telemetry       = codec.Telemetry
 )
 
-// Codec selects a wire framing for a sender (the coordinator detects the
-// codec per connection, no configuration needed). The two framings:
-// Gob, the legacy stream every release has spoken, and BinaryV2, the
-// hand-rolled little-endian framing with per-frame CRC, resynchronization
-// and frame coalescing. See PROTOCOLS.md for the negotiation matrix.
+// Codec is a wire framing, for WithCodec. BinaryV2 is the only one, and
+// the default; see PROTOCOLS.md for its normative layout.
 type Codec = codec.Codec
 
-// Gob and BinaryV2 are the available wire framings, for WithCodec.
-var (
-	Gob      = codec.Gob
-	BinaryV2 = codec.BinaryV2
-)
-
-// CodecByName resolves a codec from its flag name ("gob", "v2").
-func CodecByName(name string) (Codec, bool) { return codec.ByName(name) }
+// BinaryV2 is the binary v2 framing: little-endian, per-frame CRC,
+// resynchronization and frame coalescing.
+var BinaryV2 = codec.BinaryV2
 
 // Coordinator receives messages from any number of sites and maintains,
 // per logical stream, Ĉ = Σ flag·vᵀv plus the scalar sum estimate. Safe
@@ -152,9 +144,7 @@ type siteState struct {
 
 // NewCoordinator returns a coordinator for d-dimensional directions,
 // configured by options (WithSink, WithTracer, WithStaleAfter,
-// WithTelemetry). The zero-option call is the pre-options constructor
-// unchanged; every option can also still be installed through the
-// deprecated Set*/Enable* mutators before serving.
+// WithTelemetry).
 func NewCoordinator(d int, opts ...CoordinatorOption) *Coordinator {
 	if d < 1 {
 		panic("wire: d must be positive")
@@ -182,31 +172,6 @@ func (c *Coordinator) est(stream string) *streamEst {
 	}
 	return e
 }
-
-// SetStaleAfter configures the liveness bound: a site whose last frame is
-// older than d is reported stale by CheckLiveness, Metrics and
-// SiteStatuses (0 disables staleness detection, the default). Install
-// before serving.
-//
-// Deprecated: pass WithStaleAfter to NewCoordinator.
-func (c *Coordinator) SetStaleAfter(d time.Duration) { c.staleAfter = d }
-
-// SetSink installs an event sink receiving one EvMsgReceived per applied
-// message, with Site set to the original sender, and one EvMsgRejected
-// per malformed frame (nil disables). Install before serving; the field
-// is read without synchronization.
-//
-// Deprecated: pass WithSink to NewCoordinator.
-func (c *Coordinator) SetSink(s obs.Sink) { c.sink = s }
-
-// SetTracer installs a causal tracer (nil disables). Traced messages
-// (Msg.Trace != 0) get an "apply" span linked under the sender's "send"
-// span; sketch queries get root "query" spans, head-sampled at the
-// tracer's rate. Install before serving; only linked and root spans are
-// recorded, so one tracer is safe across connection goroutines.
-//
-// Deprecated: pass WithTracer to NewCoordinator.
-func (c *Coordinator) SetTracer(tr *trace.Tracer) { c.tracer = tr }
 
 // reject counts a malformed message and reports it to the sink.
 func (c *Coordinator) reject(m Msg) {
@@ -256,10 +221,17 @@ func (c *Coordinator) admit(m Msg) bool {
 	return fresh
 }
 
+// ErrNonFinite reports a delta carrying NaN or ±Inf. Folding one into an
+// estimate would poison it for good, so Apply rejects the frame instead.
+var ErrNonFinite = errors.New("wire: non-finite delta")
+
 // Apply folds one message into the coordinator state. Sequenced frames
 // (Seq != 0) the coordinator has already consumed are dropped — counted
 // in DupMsgs, reported as EvMsgDeduped — and return nil: a replayed delta
-// was applied exactly once already.
+// was applied exactly once already. A frame the coordinator refuses —
+// wrong dimension, unknown kind, a non-finite delta (ErrNonFinite) — is
+// counted in BadMsgs, reported as EvMsgRejected and leaves every
+// estimate untouched.
 func (c *Coordinator) Apply(m Msg) error {
 	if m.Kind == Telemetry {
 		// Telemetry bypasses admit() and the traffic counters entirely: it
@@ -288,6 +260,10 @@ func (c *Coordinator) Apply(m Msg) error {
 			c.reject(m)
 			return fmt.Errorf("wire: direction length %d, want %d", len(m.V), c.d)
 		}
+		if !allFinite(m.V) {
+			c.reject(m)
+			return fmt.Errorf("%w: direction row", ErrNonFinite)
+		}
 		payload = int64(8 * (len(m.V) + 3))
 		flag := 1.0
 		if m.Kind == DirectionRemove {
@@ -297,6 +273,10 @@ func (c *Coordinator) Apply(m Msg) error {
 		mat.OuterAdd(c.est(m.StreamID).chat, m.V, flag)
 		c.mu.Unlock()
 	case SumDelta:
+		if math.IsNaN(m.Delta) || math.IsInf(m.Delta, 0) {
+			c.reject(m)
+			return fmt.Errorf("%w: sum delta", ErrNonFinite)
+		}
 		payload = 8 * 3
 		c.mu.Lock()
 		c.est(m.StreamID).sum += m.Delta
@@ -312,6 +292,17 @@ func (c *Coordinator) Apply(m Msg) error {
 		c.sink.OnEvent(obs.Event{Kind: obs.EvMsgReceived, Site: m.Site, T: m.T, Words: payload / 8})
 	}
 	return nil
+}
+
+// allFinite reports whether every entry of v is finite. x-x is 0 for
+// every finite x and NaN for NaN and ±Inf.
+func allFinite(v []float64) bool {
+	for _, x := range v {
+		if x-x != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Sketch returns B = Σ^{1/2}Vᵀ of the default stream's PSD-clipped Ĉ.
@@ -384,12 +375,12 @@ type SiteStatus struct {
 	// LastSeen is the wall-clock arrival time of the site's latest frame.
 	LastSeen time.Time
 	// Stale reports that the site has been silent longer than the
-	// SetStaleAfter bound — its window contribution may be degraded.
+	// WithStaleAfter bound — its window contribution may be degraded.
 	Stale bool
 }
 
 // CheckLiveness sweeps the per-site records, marks sites silent for
-// longer than the SetStaleAfter bound as stale (emitting one EvSiteStale
+// longer than the WithStaleAfter bound as stale (emitting one EvSiteStale
 // per transition), and returns the number of stale sites. With no bound
 // configured it reports zero.
 func (c *Coordinator) CheckLiveness() int {
@@ -449,7 +440,8 @@ type CoordinatorMetrics struct {
 	// DirectionAdds, DirectionRemoves and SumDeltas break Msgs down by
 	// message kind.
 	DirectionAdds, DirectionRemoves, SumDeltas int64
-	// BadMsgs counts rejected messages (dimension mismatch, unknown kind).
+	// BadMsgs counts rejected messages (dimension mismatch, unknown kind,
+	// non-finite delta) and corrupt frames.
 	BadMsgs int64
 	// DupMsgs counts sequenced frames dropped because their Seq was
 	// already consumed (replays after reconnect or site restart). Dups are
@@ -471,7 +463,7 @@ type CoordinatorMetrics struct {
 	// default stream counts once it has carried a frame).
 	Streams int64
 	// StaleSites is the number of (site, stream) senders currently past
-	// the SetStaleAfter liveness bound (0 when staleness detection is
+	// the WithStaleAfter liveness bound (0 when staleness detection is
 	// disabled).
 	StaleSites int64
 	// Conns is the number of currently connected sites (Serve only).
@@ -533,48 +525,39 @@ func (c *Coordinator) MetricsMux(opts ...obs.MuxOption) *http.ServeMux {
 	)
 }
 
-// HandleConn decodes messages from one connection until EOF or an
-// unrecoverable decode error, detecting the connection's codec (gob or
-// binary v2) from its first byte. A message the coordinator refuses to
-// apply (wrong dimension, unknown kind) is counted in BadMsgs and
-// reported to the sink, but does NOT end the connection: one malformed
-// frame must not drop a site whose stream is otherwise healthy.
+// HandleConn decodes binary v2 frames from one connection until EOF or
+// an unrecoverable read error. A message the coordinator refuses to
+// apply (wrong dimension, unknown kind, non-finite delta) is counted in
+// BadMsgs and reported to the sink, but does NOT end the connection: one
+// malformed frame must not drop a site whose stream is otherwise
+// healthy.
 //
-// Corruption handling depends on the codec. A gob stream cannot
-// resynchronize after corruption, so a gob decode error still ends the
-// connection. On a binary v2 stream a frame rejected by CRC or structure
-// is counted in BadMsgs, reported as EvMsgRejected, and the decoder
-// resynchronizes at the next magic boundary — the connection survives.
-// Because the rejected frame may have carried a sequenced delta, the
-// coordinator then refuses to apply frames that would jump a sequence
-// gap and instead sends a rewind request (Ack with Nack set) carrying the
-// stream's consumed horizon; the sender replays its unacknowledged
-// backlog in order, closing the gap with not one delta lost, double-
-// applied or reordered. A corrupted frame belonging to a (site, stream)
-// that has not yet appeared on this connection cannot be nacked — the
-// coordinator does not know the key — and is recovered by the next
-// reconnect's replay instead (see PROTOCOLS.md).
+// A frame rejected by CRC or structure — and any bytes in another
+// framing, which fail the magic check — is counted in BadMsgs, reported
+// as EvMsgRejected, and the decoder resynchronizes at the next magic
+// boundary: the connection survives and nothing else is decoded from
+// the rejected bytes. Because the rejected frame may have carried a
+// sequenced delta, the coordinator then refuses to apply frames that
+// would jump a sequence gap and instead sends a rewind request (Ack with
+// Nack set) carrying the stream's consumed horizon; the sender replays
+// its unacknowledged backlog in order, closing the gap with not one
+// delta lost, double-applied or reordered. A corrupted frame belonging
+// to a (site, stream) that has not yet appeared on this connection
+// cannot be nacked — the coordinator does not know the key — and is
+// recovered by the next reconnect's replay instead (see PROTOCOLS.md).
 //
 // When conn is also a writer (net.Conn is), every sequenced frame is
 // acknowledged back on the same connection once consumed — applied,
 // deduped or rejected; the frame will never be applied later, so holding
-// it in the sender's backlog serves nothing. Acks use the connection's
-// detected codec. An ack write failure ends the connection: the site
-// will reconnect and replay, and dedup keeps the replay exactly-once.
+// it in the sender's backlog serves nothing. An ack write failure ends
+// the connection: the site will reconnect and replay, and dedup keeps
+// the replay exactly-once.
 func (c *Coordinator) HandleConn(conn io.Reader) error {
-	dec, cdc, err := codec.Detect(conn)
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		return err
-	}
-	if rel, ok := dec.(interface{ Release() }); ok {
-		defer rel.Release()
-	}
+	dec := codec.BinaryV2.NewDecoder(conn)
+	defer dec.(interface{ Release() }).Release()
 	var enc codec.Encoder
 	if w, ok := conn.(io.Writer); ok {
-		enc = cdc.NewEncoder(w)
+		enc = codec.BinaryV2.NewEncoder(w)
 	}
 	ack := func(a Ack) error {
 		if err := enc.EncodeAck(a); err != nil {
@@ -733,8 +716,8 @@ type Sender interface {
 	Send(Msg) error
 }
 
-// ConnSender encodes messages onto a single stream in one codec (gob by
-// default, WithCodec selects). Each Send is flushed through immediately.
+// ConnSender encodes messages onto a single stream in the binary v2
+// framing. Each Send is flushed through immediately.
 type ConnSender struct {
 	mu     sync.Mutex
 	enc    codec.Encoder
@@ -743,14 +726,6 @@ type ConnSender struct {
 
 	msgs   obs.Counter
 	encLat obs.Histogram
-}
-
-// NewConnSender wraps a connection with the legacy gob codec.
-//
-// Deprecated: use NewSender, which takes options (WithCodec, WithStream).
-func NewConnSender(conn io.WriteCloser) *ConnSender {
-	s, _ := NewSender(conn)
-	return s
 }
 
 // Send encodes one message.

@@ -12,7 +12,7 @@ import (
 
 // The observability vocabulary is defined in the internal obs package and
 // re-exported here so callers never import internals. A Sink receives one
-// typed Event per internal occurrence; install it with Tracker.SetSink.
+// typed Event per internal occurrence; install it with WithSink.
 // The default (no sink) costs one nil-check per hook site.
 type (
 	// Sink receives internal events. Implementations must be fast and must
@@ -86,11 +86,11 @@ type Metrics struct {
 	Net Stats
 	// Sites is the per-site communication breakdown, indexed by site.
 	Sites []SiteStats
-	// Audit is the live ε-error auditor's snapshot; nil unless
-	// Tracker.EnableAudit was called.
+	// Audit is the live ε-error auditor's snapshot; nil unless the
+	// tracker was built WithAudit.
 	Audit *AuditMetrics `json:",omitempty"`
 	// TraceSpans is the number of causal-trace spans recorded so far
-	// (0 unless Tracker.EnableTracing was called).
+	// (0 unless the tracker was built WithTracing).
 	TraceSpans int64 `json:",omitempty"`
 	// SnapshotVersion is the latest published snapshot's version; 0 when
 	// no snapshot has been published (see WithSnapshots).
@@ -132,15 +132,10 @@ func (t *Tracker) Metrics() Metrics {
 	return m
 }
 
-// SetSink installs an event sink receiving the tracker's typed events:
-// message traffic, bucket lifecycle, skew drops, sketch queries and
-// threshold renegotiations (nil uninstalls). Install it before feeding
-// data — the sink fields are read without synchronization on the hot path.
-//
-// Deprecated: pass WithSink to New, which wires the sink before any row
-// can arrive. SetSink remains for trackers rebuilt via Restore and for
-// uninstalling.
-func (t *Tracker) SetSink(s Sink) {
+// setSink installs the WithSink event sink on the tracker and every layer
+// under it. The sink fields are read without synchronization on the hot
+// path, so it runs at construction, before any row can arrive.
+func (t *Tracker) setSink(s Sink) {
 	t.sink = s
 	t.net.SetSink(s)
 	if ss, ok := t.inner.(core.SinkSetter); ok {
@@ -152,7 +147,7 @@ func (t *Tracker) SetSink(s Sink) {
 // GET /metrics (JSON Metrics by default; the Prometheus text exposition
 // when the request's Accept header prefers text/plain or ?format=prom
 // asks for it), GET /healthz, and expvar under /debug/vars.
-// When tracing or auditing is enabled (EnableTracing, EnableAudit) it also
+// When tracing or auditing is enabled (WithTracing, WithAudit) it also
 // mounts /debug/trace (Chrome trace-event JSON) and /debug/audit (SVG
 // error panel); further endpoints can be added with options (WithPprof,
 // WithHandler). Mount it on any mux; the handler snapshots atomically, so

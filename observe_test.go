@@ -10,6 +10,14 @@ import (
 	"distwindow/mat"
 )
 
+// mustObserve feeds one row and fails the test on any delivery error.
+func mustObserve(tb testing.TB, tr *Tracker, site int, r Row) {
+	tb.Helper()
+	if err := tr.TryObserve(site, r); err != nil {
+		tb.Fatal(err)
+	}
+}
+
 func TestTryObserveErrorPaths(t *testing.T) {
 	newTr := func(maxSkew int64) *Tracker {
 		tr, err := New(Config{Protocol: DA1, D: 2, W: 100, Eps: 0.2, Sites: 2, MaxSkew: maxSkew})
@@ -102,21 +110,11 @@ func TestTryObserveErrorPaths(t *testing.T) {
 
 func TestObservePanicsOnlyOnCallerBugs(t *testing.T) {
 	tr, _ := New(Config{Protocol: DA1, D: 2, W: 100, Eps: 0.2, Sites: 1})
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: expected panic", name)
-			}
-		}()
-		f()
+	// Stale rows are dropped and counted; the tracker stays usable.
+	mustObserve(t, tr, 0, Row{T: 10, V: []float64{1, 0}})
+	if err := tr.TryObserve(0, Row{T: 5, V: []float64{1, 0}}); !errors.Is(err, ErrStale) {
+		t.Fatalf("stale row: %v, want ErrStale", err)
 	}
-	mustPanic("site", func() { tr.Observe(5, Row{T: 1, V: []float64{1, 0}}) })
-	mustPanic("dim", func() { tr.Observe(0, Row{T: 1, V: []float64{1}}) })
-
-	// Stale rows are dropped silently but counted.
-	tr.Observe(0, Row{T: 10, V: []float64{1, 0}})
-	tr.Observe(0, Row{T: 5, V: []float64{1, 0}}) // must not panic
 	if got := tr.Metrics().StaleDrops; got != 1 {
 		t.Fatalf("StaleDrops = %d, want 1", got)
 	}
@@ -184,10 +182,10 @@ func TestObserveDoesNotRetainRow(t *testing.T) {
 			for i := int64(1); i <= 400; i++ {
 				v := []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
 				site := int(i) % 2
-				ref.Observe(site, Row{T: i, V: v})
+				mustObserve(t, ref, site, Row{T: i, V: v})
 
 				copy(scratch, v)
-				reuse.Observe(site, Row{T: i, V: scratch})
+				mustObserve(t, reuse, site, Row{T: i, V: scratch})
 				// Clobber the buffer the way a reader loop would.
 				scratch[0], scratch[1], scratch[2] = -1e9, 1e9, -1e9
 			}
@@ -223,11 +221,11 @@ func TestFlushSkewGlobalOrder(t *testing.T) {
 
 	// Interleave buffered rows across sites so a per-site flush would
 	// deliver out of global order: site 2 holds the oldest rows.
-	tr.Observe(2, Row{T: 5, V: []float64{1}})
-	tr.Observe(0, Row{T: 20, V: []float64{1}})
-	tr.Observe(1, Row{T: 10, V: []float64{1}})
-	tr.Observe(0, Row{T: 30, V: []float64{1}})
-	tr.Observe(1, Row{T: 10, V: []float64{1}}) // tie with site 1's first row
+	mustObserve(t, tr, 2, Row{T: 5, V: []float64{1}})
+	mustObserve(t, tr, 0, Row{T: 20, V: []float64{1}})
+	mustObserve(t, tr, 1, Row{T: 10, V: []float64{1}})
+	mustObserve(t, tr, 0, Row{T: 30, V: []float64{1}})
+	mustObserve(t, tr, 1, Row{T: 10, V: []float64{1}}) // tie with site 1's first row
 	if len(rec.ts) != 0 {
 		t.Fatalf("rows released early: %v", rec.ts)
 	}
@@ -244,8 +242,8 @@ func TestFlushSkewGlobalOrder(t *testing.T) {
 				i, rec.sites[i], rec.ts[i], wantSites[i], wantTs[i])
 		}
 	}
-	if tr.SkewDropped() != 0 {
-		t.Fatalf("SkewDropped = %d, want 0", tr.SkewDropped())
+	if got := tr.Metrics().SkewDropped; got != 0 {
+		t.Fatalf("SkewDropped = %d, want 0", got)
 	}
 }
 
@@ -260,13 +258,13 @@ func TestFlushSkewDropsRowsBehindDeliveredClock(t *testing.T) {
 	// Site 0 races ahead: its T=100 arrival releases rows up to T=90 and
 	// commits the delivered clock there. Site 1's buffered T=50 row is
 	// within its own skew bound but behind the global stream by flush time.
-	tr.Observe(1, Row{T: 50, V: []float64{1}})
-	tr.Observe(0, Row{T: 80, V: []float64{1}})
-	tr.Observe(0, Row{T: 100, V: []float64{1}}) // releases T=80, delivered=80
+	mustObserve(t, tr, 1, Row{T: 50, V: []float64{1}})
+	mustObserve(t, tr, 0, Row{T: 80, V: []float64{1}})
+	mustObserve(t, tr, 0, Row{T: 100, V: []float64{1}}) // releases T=80, delivered=80
 
 	tr.FlushSkew()
-	if tr.SkewDropped() != 1 {
-		t.Fatalf("SkewDropped = %d, want 1 (site 1's T=50 fell behind)", tr.SkewDropped())
+	if got := tr.Metrics().SkewDropped; got != 1 {
+		t.Fatalf("SkewDropped = %d, want 1 (site 1's T=50 fell behind)", got)
 	}
 	for _, ts := range rec.ts {
 		if ts == 50 {
@@ -282,16 +280,15 @@ func TestFlushSkewDropsRowsBehindDeliveredClock(t *testing.T) {
 }
 
 func TestMetricsAndSink(t *testing.T) {
-	tr, err := New(Config{Protocol: DA1, D: 2, W: 100, Eps: 0.2, Sites: 2})
+	var sink CountingSink
+	tr, err := New(Config{Protocol: DA1, D: 2, W: 100, Eps: 0.2, Sites: 2}, WithSink(&sink))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sink CountingSink
-	tr.SetSink(&sink)
 
 	rng := rand.New(rand.NewSource(3))
 	for i := int64(1); i <= 200; i++ {
-		tr.Observe(int(i)%2, Row{T: i, V: []float64{rng.NormFloat64(), rng.NormFloat64()}})
+		mustObserve(t, tr, int(i)%2, Row{T: i, V: []float64{rng.NormFloat64(), rng.NormFloat64()}})
 	}
 	tr.Sketch()
 

@@ -104,8 +104,9 @@ func WithSnapshots(every int) Option {
 	}
 }
 
-// WithSink installs an event sink from the start (see Tracker.SetSink for
-// the event vocabulary). With WithParallel the sink is invoked from
+// WithSink installs an event sink receiving the tracker's typed events:
+// message traffic, bucket lifecycle, skew drops, sketch queries and
+// threshold renegotiations. With WithParallel the sink is invoked from
 // multiple worker goroutines and must be safe for concurrent use
 // (CountingSink and other atomic sinks qualify).
 func WithSink(s Sink) Option {
@@ -115,14 +116,19 @@ func WithSink(s Sink) Option {
 	}
 }
 
-// WithTracing enables causal tracing from the start (see
-// Tracker.EnableTracing). Incompatible with WithParallel.
+// WithTracing enables span-based causal tracing: each sampled row's
+// journey (ingest → bucket create/merge/expire → send → recv → query) is
+// recorded into a bounded ring, exportable via Tracker.TraceChrome or the
+// /debug/trace endpoint of MetricsHandler. Incompatible with WithParallel.
 func WithTracing(cfg TraceConfig) Option {
 	return func(o *options) { o.tracing = &cfg }
 }
 
-// WithAudit enables the live ε-error auditor from the start (see
-// Tracker.EnableAudit). Incompatible with WithParallel.
+// WithAudit enables the live ε-error auditor: a shadow path keeping the
+// exact windowed covariance and periodically measuring err(A_w, B)
+// against ε (Metrics().Audit, Tracker.AuditSamples, /debug/audit). The
+// shadow window costs O(window·d) memory and an O(d²) update per row, so
+// enable it on canaries and soak tests. Incompatible with WithParallel.
 func WithAudit(cfg AuditConfig) Option {
 	return func(o *options) { o.audit = &cfg }
 }

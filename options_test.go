@@ -75,7 +75,6 @@ func TestWithParallelRejections(t *testing.T) {
 	if _, err := distwindow.New(da, distwindow.WithParallel(2), distwindow.WithAudit(distwindow.AuditConfig{})); !errors.Is(err, distwindow.ErrParallelUnsupported) {
 		t.Fatalf("audit: got %v, want ErrParallelUnsupported", err)
 	}
-	// Post-hoc enabling on a live parallel tracker is likewise refused.
 	tr, err := distwindow.New(da, distwindow.WithParallel(2))
 	if err != nil {
 		t.Fatal(err)
@@ -84,12 +83,8 @@ func TestWithParallelRejections(t *testing.T) {
 	if !tr.Parallel() {
 		t.Fatal("Parallel() = false on a WithParallel tracker")
 	}
-	if err := tr.EnableAudit(distwindow.AuditConfig{}); !errors.Is(err, distwindow.ErrParallelUnsupported) {
-		t.Fatalf("post-hoc EnableAudit: got %v", err)
-	}
-	tr.EnableTracing(distwindow.TraceConfig{SampleEvery: 1}) // documented no-op
-	if tr.TracingEnabled() {
-		t.Fatal("post-hoc EnableTracing took effect on a parallel tracker")
+	if tr.TracingEnabled() || tr.AuditEnabled() {
+		t.Fatal("a plain parallel tracker reports tracing or auditing enabled")
 	}
 }
 
@@ -108,7 +103,7 @@ func TestOptionWiring(t *testing.T) {
 		t.Fatalf("tracing=%v audit=%v, want both enabled", tr.TracingEnabled(), tr.AuditEnabled())
 	}
 	for i := int64(1); i <= 32; i++ {
-		tr.Observe(int(i)%2, distwindow.Row{T: i, V: []float64{1, float64(i)}})
+		mustObserve(t, tr, int(i)%2, distwindow.Row{T: i, V: []float64{1, float64(i)}})
 	}
 	if cs.Count(distwindow.EvMsgSent) == 0 {
 		t.Fatal("WithSink sink saw no message events")
@@ -118,10 +113,6 @@ func TestOptionWiring(t *testing.T) {
 	}
 	if m, ok := tr.Audit(); !ok || m.Ticks == 0 {
 		t.Fatalf("WithAudit measured nothing (ok=%v)", ok)
-	}
-	// The deprecated standalone getter must stay an alias of the snapshot.
-	if tr.SkewDropped() != tr.Metrics().SkewDropped {
-		t.Fatal("SkewDropped() and Metrics().SkewDropped disagree")
 	}
 	// Sequential trackers accept Drain/Close as no-ops.
 	tr.Drain()

@@ -23,25 +23,15 @@ type TraceConfig struct {
 	RingSize int
 }
 
-// EnableTracing installs span-based causal tracing: each sampled row's
-// journey (ingest → bucket create/merge/expire → send → recv → query) is
-// recorded into a bounded lock-free ring and exportable as Chrome
-// trace-event JSON via TraceChrome or the /debug/trace endpoint mounted
-// by MetricsHandler. SampleEvery ≤ 0 uninstalls tracing.
-//
-// Call before feeding data, from the ingest goroutine — the tracer fields
-// are read without synchronization on the hot path, like SetSink's.
-// Disabled or uninstalled tracing costs one nil-check per hook site.
-// Ignored (no-op) on a parallel tracker: the pipeline rejects tracing at
-// construction and cannot adopt it later.
-//
-// Deprecated: pass WithTracing to New, which installs the tracer before
-// any row can arrive and lets construction reject unsupported
-// combinations (WithParallel) instead of silently ignoring them.
-func (t *Tracker) EnableTracing(cfg TraceConfig) {
-	if t.pipe != nil {
-		return
-	}
+// installTracing installs the WithTracing span-based causal tracing:
+// each sampled row's journey (ingest → bucket create/merge/expire → send
+// → recv → query) is recorded into a bounded lock-free ring and
+// exportable as Chrome trace-event JSON via TraceChrome or the
+// /debug/trace endpoint mounted by MetricsHandler. SampleEvery ≤ 0
+// leaves tracing off, at one nil-check per hook site. It runs at
+// construction, before the pipeline starts, so startParallel sees the
+// tracer and rejects the combination.
+func (t *Tracker) installTracing(cfg TraceConfig) {
 	var tr *trace.Tracer
 	var ring *trace.Ring
 	if cfg.SampleEvery > 0 {
@@ -55,7 +45,7 @@ func (t *Tracker) EnableTracing(cfg TraceConfig) {
 	}
 }
 
-// TracingEnabled reports whether EnableTracing installed a live tracer.
+// TracingEnabled reports whether WithTracing installed a live tracer.
 func (t *Tracker) TracingEnabled() bool { return t.tracer.Enabled() }
 
 // TraceSpans returns how many spans have been recorded so far (spans older
@@ -104,26 +94,15 @@ type AuditMetrics = audit.Metrics
 // AuditSample is one audit measurement (see Tracker.AuditSamples).
 type AuditSample = audit.Sample
 
-// EnableAudit installs a live ε-error auditor: a shadow path keeping the
-// exact windowed covariance next to the protocol and periodically
-// measuring the observed err(A_w, B) against the configured ε, together
-// with the communication spent per window. Results surface through
-// Metrics().Audit, AuditSamples, and the /debug/audit SVG panel mounted
-// by MetricsHandler.
-//
-// The shadow window costs O(window·d) memory and an O(d²) Gram update per
-// row — the very costs the protocols exist to avoid — so enable it on
-// canaries and soak tests, not on every production instance. Call before
-// feeding data, from the ingest goroutine. On a parallel tracker it fails
-// with ErrParallelUnsupported: the shadow path rides the sequential
-// ingest hook.
-//
-// Deprecated: pass WithAudit to New, which installs the auditor before
-// any row can arrive.
-func (t *Tracker) EnableAudit(cfg AuditConfig) error {
-	if t.pipe != nil {
-		return fmt.Errorf("%w: auditing requires the sequential path", ErrParallelUnsupported)
-	}
+// installAudit installs the WithAudit live ε-error auditor: a shadow path
+// keeping the exact windowed covariance next to the protocol and
+// periodically measuring the observed err(A_w, B) against the configured
+// ε, together with the communication spent per window. Results surface
+// through Metrics().Audit, AuditSamples, and the /debug/audit SVG panel
+// mounted by MetricsHandler. It runs at construction, before the
+// pipeline starts, so startParallel sees the auditor and rejects the
+// combination: the shadow path rides the sequential ingest hook.
+func (t *Tracker) installAudit(cfg AuditConfig) error {
 	acfg := audit.Config{
 		D:           t.cfg.D,
 		W:           t.cfg.W,
@@ -145,11 +124,11 @@ func (t *Tracker) EnableAudit(cfg AuditConfig) error {
 	return nil
 }
 
-// AuditEnabled reports whether EnableAudit installed an auditor.
+// AuditEnabled reports whether WithAudit installed an auditor.
 func (t *Tracker) AuditEnabled() bool { return t.aud != nil }
 
-// Audit returns the auditor's counter snapshot; ok is false when
-// EnableAudit was never called.
+// Audit returns the auditor's counter snapshot; ok is false when the
+// tracker was built without WithAudit.
 func (t *Tracker) Audit() (m AuditMetrics, ok bool) {
 	if t.aud == nil {
 		return AuditMetrics{}, false
